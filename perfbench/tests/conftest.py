@@ -1,0 +1,12 @@
+"""Make ``repro`` and the benchmark's modules importable in its tests.
+
+Run from the repository root with ``python -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
