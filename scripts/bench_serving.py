@@ -4,11 +4,13 @@
 Measures, on a hand-built library shaped like the quick-profile sweep
 (three pruning rates x three confidence thresholds plus backbones):
 
-1. **Campaign speedup** — a ``simulate_policy`` campaign with
-   ``sim_mode="vector"`` vs ``sim_mode="event"``. The two must produce
+1. **Campaign speedup** — ``simulate_policy`` campaigns with
+   ``sim_mode="vector"`` vs ``sim_mode="event"``: fault-free, then under
+   the ``light`` and ``heavy`` fault presets (which the fast path
+   replays from the run's fault plan). Each pair must produce
    **bit-identical** ``RunMetrics`` (every field, every trace array) and
    the fast path must be at least ``REPRO_BENCH_MIN_SERVING_SPEEDUP``
-   (default 10) times faster.
+   (default 10) times faster on each.
 2. **Selection speedup** — ``RuntimeManager.select`` through the
    throughput-sorted index vs the historical linear
    ``Library.feasible`` rescan, on a 200-entry library. Same winners on
@@ -24,6 +26,7 @@ the report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -41,6 +44,7 @@ from repro.runtime import (                                  # noqa: E402
     LibraryEntry,
     make_policy,
 )
+from repro.runtime.faults import FaultSpec                  # noqa: E402
 from repro.runtime.manager import RuntimeManager             # noqa: E402
 
 MIN_SERVING_SPEEDUP = float(
@@ -113,9 +117,8 @@ def linear_select(mgr, workload_ips, current=None):
 
 
 def metrics_key(m):
-    return (m.total_requests, m.processed, m.lost, m.dropped, m.failed,
-            m.accuracy, m.avg_latency_s, m.energy_j,
-            m.reconfigurations, m.reconfig_dead_time_s, m.trace)
+    """Every ``RunMetrics`` field, traces included."""
+    return dataclasses.asdict(m)
 
 
 def best_of(fn, repeats: int):
@@ -166,31 +169,38 @@ def main(argv=None) -> int:
     workload = WorkloadSpec(num_cameras=8, ips_per_camera=60.0,
                             duration_s=args.duration, deviation=0.3,
                             deviation_interval_s=2.0)
-    print(f"serving campaign ({args.runs} runs x {args.duration:g}s, "
-          f"adapex policy)...")
 
-    def campaign(mode):
+    def campaign(mode, faults):
         cfg = ServerConfig(sim_mode=mode, record_trace=True)
         return simulate_policy(make_policy("adapex", lib),
                                runs=args.runs, workload=workload,
-                               config=cfg, base_seed=0)
+                               config=cfg, base_seed=0, faults=faults,
+                               fault_seed=11)
 
-    event_s, (event_agg, event_runs) = best_of(
-        lambda: campaign("event"), args.repeats)
-    vector_s, (vector_agg, vector_runs) = best_of(
-        lambda: campaign("vector"), args.repeats)
-    identical = all(metrics_key(a) == metrics_key(b)
-                    for a, b in zip(event_runs, vector_runs))
-    check("campaign_bit_identical",
-          identical and len(event_runs) == len(vector_runs),
-          f"{len(event_runs)} runs compared field-by-field incl. traces")
-    speedup = event_s / vector_s if vector_s > 0 else float("inf")
-    report["campaign_event_s"] = event_s
-    report["campaign_vector_s"] = vector_s
-    report["campaign_speedup"] = speedup
-    print(f"  event {event_s * 1e3:.0f} ms, vector {vector_s * 1e3:.0f} ms")
-    check("campaign_speedup", speedup >= MIN_SERVING_SPEEDUP,
-          f"{speedup:.1f}x (need >= {MIN_SERVING_SPEEDUP:g}x)")
+    for label, preset in (("campaign", None), ("light_faults", "light"),
+                          ("heavy_faults", "heavy")):
+        faults = FaultSpec.parse(preset) if preset else None
+        print(f"{label}: serving campaign ({args.runs} runs x "
+              f"{args.duration:g}s, adapex policy, faults="
+              f"{preset or 'none'})...")
+        event_s, (_, event_runs) = best_of(
+            lambda: campaign("event", faults), args.repeats)
+        vector_s, (_, vector_runs) = best_of(
+            lambda: campaign("vector", faults), args.repeats)
+        identical = len(event_runs) == len(vector_runs) and all(
+            metrics_key(a) == metrics_key(b)
+            for a, b in zip(event_runs, vector_runs))
+        check(f"{label}_bit_identical", identical,
+              f"{len(event_runs)} runs compared on every RunMetrics "
+              f"field incl. traces")
+        speedup = event_s / vector_s if vector_s > 0 else float("inf")
+        report[f"{label}_event_s"] = event_s
+        report[f"{label}_vector_s"] = vector_s
+        report[f"{label}_speedup"] = speedup
+        print(f"  event {event_s * 1e3:.0f} ms, "
+              f"vector {vector_s * 1e3:.0f} ms")
+        check(f"{label}_speedup", speedup >= MIN_SERVING_SPEEDUP,
+              f"{speedup:.1f}x (need >= {MIN_SERVING_SPEEDUP:g}x)")
 
     # ------------------------------------------------------------------
     # 2. selection micro-benchmark: sorted index vs linear rescan

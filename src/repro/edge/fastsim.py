@@ -3,15 +3,16 @@
 :class:`~repro.edge.server.EdgeServerSimulator` models every frame as a
 pair of :class:`~repro.edge.events.EventLoop` callbacks, which makes
 100-run serving campaigns the dominant wall-clock cost of the paper's
-evaluation. Between policy decision ticks the server's evolution is
+evaluation. Between boundaries — policy decision ticks and, under fault
+injection, reconfiguration retries — the server's evolution is
 closed-form per segment, so this module replays the exact same dynamics
 as chunked NumPy work:
 
 * all per-frame RNG draws for a run are materialized with **one**
   ``Generator.random`` call (the event loop's ``rng.choice`` /
   ``rng.random`` pairs consume one uniform each, in service order, so a
-  flat pre-drawn array indexed by served-frame number reproduces the
-  stream bit-for-bit — over-drawing is harmless because the generator is
+  flat pre-drawn array indexed by stream position reproduces the stream
+  bit-for-bit — over-drawing is harmless because the generator is
   private to the run);
 * per-segment exit sampling, service-latency lookup and correctness
   sampling are batched array operations (``searchsorted`` over the exit
@@ -28,16 +29,32 @@ plain Python floats using the *same* float operations (``max`` and one
 addition per frame) as the event loop, so completions, queue-full
 losses, and end-of-run in-flight frames are decided identically.
 
+Fault campaigns (:mod:`repro.runtime.faults`) replay the run's
+:class:`~repro.runtime.faults.FaultPlan` decision for decision:
+
+* spike arrivals are merged into the workload before the run, and every
+  ingress drop is decided up front in one draw
+  (:meth:`FaultPlan.drop_mask`) — dropped frames never reach the queue
+  or the monitor;
+* each reconfiguration attempt goes through
+  :meth:`FaultPlan.reconfig_outcome` and
+  :meth:`ReconfigurationController.attempt_switch` at its boundary; a
+  failed attempt schedules its retry (``now + dead + backoff``) as one
+  more segment boundary, and an exhausted budget degrades through
+  ``policy.select_without_reconfig``;
+* transient inference errors are decided when a frame starts (its
+  completion time is known then), consuming the inference stream in
+  completion order; a failed frame returns to the queue head at its
+  completion, and the main stream is read through a position pointer
+  because a failed completion draws no correctness uniform.
+
 The event loop remains the semantics oracle (the same relationship as
 :mod:`repro.ir.executors` vs :mod:`repro.ir.engine`): ``run_fast``
 returns ``None`` whenever it cannot *prove* equivalence and the caller
-falls back to event mode. That covers
-
-* fault injection (retry loops and fault RNG interleave with the
-  service stream in ways segments cannot batch), and
-* exact event-time ties on a decision tick (a completion, service
-  start, or reconfiguration-resume landing on the tick's timestamp,
-  where the outcome depends on event-loop scheduling order).
+falls back to event mode. That is an exact event-time tie on a
+boundary: a completion, service start, or reconfiguration-resume
+landing on a decision tick or retry timestamp, or a retry landing on a
+tick, where the outcome depends on event-loop scheduling order.
 
 ``SIM_MODES`` enumerates the ``ServerConfig.sim_mode`` values:
 ``"auto"``/``"vector"`` use this fast path when sound, ``"event"``
@@ -46,6 +63,7 @@ forces the oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
@@ -54,7 +72,7 @@ from ..runtime.monitor import WorkloadMonitor
 from ..runtime.reconfig import ReconfigurationController
 from .metrics import RunMetrics
 
-__all__ = ["SIM_MODES", "run_fast", "vectorizable"]
+__all__ = ["SIM_MODES", "run_fast"]
 
 #: Accepted ``ServerConfig.sim_mode`` values.
 SIM_MODES = ("auto", "event", "vector")
@@ -63,16 +81,7 @@ SIM_MODES = ("auto", "event", "vector")
 _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 _NEG_INF = float("-inf")
-
-
-def vectorizable(sim) -> bool:
-    """Whether a run of ``sim`` is eligible for the fast path.
-
-    Fault campaigns route to the event loop: retries and per-event fault
-    decisions interleave with the service RNG stream, which the
-    segment-batched replay cannot reproduce.
-    """
-    return sim.faults is None
+_INF = float("inf")
 
 
 def _exit_cdf(exit_rates) -> np.ndarray:
@@ -91,51 +100,14 @@ def _exit_cdf(exit_rates) -> np.ndarray:
     return cdf
 
 
-def run_fast(sim):
-    """One serving run, segment-batched; ``None`` = fall back to events.
+def _tick_times(cfg, duration: float) -> list:
+    """Decision-tick schedule.
 
-    Bit-identical to ``EdgeServerSimulator`` event mode: same RNG stream
-    consumed in the same order, same float operations for every queue /
-    clock update, same trace values. See the module docstring for the
-    fallback conditions.
+    The event loop reschedules relative to the current tick, so tick
+    times are a float *accumulation*, not k*dt. The first tick carries
+    the coordinator's stagger offset, with the event loop's exact float
+    ops (now=0.0 plus the combined delay).
     """
-    if not vectorizable(sim):
-        return None
-    cfg = sim.config
-    if cfg.batching:
-        # Micro-batched admission changes the dequeue/RNG structure:
-        # a parallel kernel (same segment framework, batch-granular
-        # draws) replays the batched event path bit-for-bit.
-        return _run_fast_batched(sim)
-    workload = sim.workload
-    duration = workload.duration_s
-    policy = sim.policy
-
-    rng = np.random.default_rng(sim.seed + 777)
-    arrivals = sim._arrival_times()
-    n = len(arrivals)
-    # The event loop draws one uniform at each service start (the exit
-    # choice) and one at each completion (the correctness sample),
-    # strictly alternating in service order; at most ``n`` frames are
-    # ever served, so 2n uniforms cover every draw it can consume.
-    draws = rng.random(2 * n + 2)
-    u_choice = draws[0::2]
-    u_correct = draws[1::2]
-    arr_list = arrivals.tolist()
-
-    monitor = WorkloadMonitor(window_s=cfg.monitor_window_s)
-    controller = ReconfigurationController(
-        reconfig_time_s=cfg.reconfig_time_s,
-        cost_model=cfg.partial_reconfig)
-
-    entry = policy.select(workload.nominal_ips)
-    controller.switch(entry.accelerator, now_s=0.0)
-    initial_events = controller.count
-
-    # Decision-tick schedule: the event loop reschedules relative to the
-    # current tick, so tick times are a float *accumulation*, not k*dt.
-    # The first tick carries the coordinator's stagger offset, with the
-    # event loop's exact float ops (now=0.0 plus the combined delay).
     ticks: list[float] = []
     t = 0.0 + (cfg.decision_offset_s + cfg.decision_interval_s)
     if t <= duration:
@@ -145,102 +117,182 @@ def run_fast(sim):
                 t = t + cfg.decision_interval_s
             else:
                 break
+    return ticks
 
-    capacity = cfg.queue_capacity
-    record_trace = cfg.record_trace
-    trace: dict = {"t": [], "workload_ips": [], "pruning_rate": [],
-                   "confidence_threshold": [], "accuracy": [],
-                   "serving_ips": []}
 
-    # Brownout ladder (mirrors the event loop's on_arrival/on_decision
-    # additions with identical float comparisons and floor arithmetic).
-    brownout = cfg.brownout
-    brown_levels = cfg.brownout_levels
-    bottom_rung = len(brown_levels)
-    shed_len = cfg.shed_queue_len
-    select_at = getattr(policy, "select_at", None)
-    base_floor = getattr(policy, "min_accuracy", None)
-    ladder = brownout and select_at is not None and base_floor is not None
+def _served_arrivals(sim, plan):
+    """``(arrivals reaching the server, total requests, dropped)``.
 
-    # --- run state (plain Python floats/ints: the scalar kernel below
-    # must use the exact float ops of the event loop) -----------------
-    qlen = 0              # admitted frames waiting (excludes in-service)
-    c_last = _NEG_INF     # completion time of the last *started* frame
-    reconfig_until = 0.0
-    started = 0           # frames started == RNG pairs consumed
-    processed = 0
-    lost = 0
-    shed = 0
-    rung = 0
-    brownout_steps = 0
-    brownout_time_s = 0.0
-    brownout_since = 0.0
-    correct = 0           # integer-exact accuracy_sum
-    served_latencies: list[float] = []  # in completion (== start) order
-    energy_j = 0.0
-    last_power_t = 0.0
-    ai = 0                # next arrival index to admit
-    fed = 0               # arrivals already fed to the monitor
+    Spike arrivals are merged exactly as the event loop merges them;
+    drops are decided for every arrival the event loop would fire (those
+    at or before the horizon), in arrival order.
+    """
+    arrivals = sim._arrival_times()
+    if plan is None:
+        return arrivals, len(arrivals), 0
+    duration = sim.workload.duration_s
+    extra = plan.spike_arrivals(duration, sim.workload.nominal_ips)
+    if len(extra):
+        arrivals = np.sort(np.concatenate([arrivals, extra]))
+    total = len(arrivals)
+    hi = int(np.searchsorted(arrivals, duration, side="right"))
+    drop = plan.drop_mask(arrivals[:hi])
+    dropped = int(np.count_nonzero(drop))
+    if dropped:
+        arrivals = np.concatenate([arrivals[:hi][~drop], arrivals[hi:]])
+    return arrivals, total, dropped
 
-    # Per-segment batched draw tables, rebuilt whenever the deployed
-    # entry can change (i.e. at decision ticks).
-    seg_base = 0
-    seg_services: list[float] = []
-    seg_correct: list[bool] = []
 
-    def build_tables(hi: int) -> None:
-        """Batch-sample exits / services / correctness for every frame
-        that could start in this segment (current queue + new arrivals).
-        Unused tail entries are recomputed by the next segment with its
-        own entry; the underlying uniforms are position-indexed, so
-        overcomputation has no RNG side effects."""
-        nonlocal seg_base, seg_services, seg_correct
-        seg_base = started
-        m = qlen + (hi - ai)
-        if m <= 0:
-            seg_services = []
-            seg_correct = []
-            return
-        uc = u_choice[seg_base:seg_base + m]
-        if entry.exit_latencies_s:
-            cdf = _exit_cdf(entry.exit_rates)
-            idx = cdf.searchsorted(uc, side="right")
-            latencies = np.asarray(entry.exit_latencies_s,
-                                   dtype=np.float64)
-            seg_services = latencies[idx].tolist()
+def _inference_errors(plan) -> bool:
+    """Whether a run's fault plan can fail an inference."""
+    return plan is not None and plan.spec.inference_error_prob > 0.0
+
+
+class _Kernel:
+    """Queue and server state of one run, advanced segment by segment.
+
+    A segment ends at a boundary — a decision tick, a reconfiguration
+    retry, or the horizon — where :func:`run_fast` may change
+    ``entry``, ``reconfig_until`` and ``shedding``. Subclasses implement
+    :meth:`serve` for one queue discipline; it admits arrivals and runs
+    services with start times up to the boundary and returns ``False``
+    on an exact event-time tie with it. ``plan`` is the run's fault plan
+    (``None`` when fault-free); only its inference errors reach the
+    kernel.
+    """
+
+    def __init__(self, sim, arrivals: np.ndarray, plan):
+        cfg = sim.config
+        self.arrivals = arrivals
+        self.arr_list = arrivals.tolist()
+        self.duration = sim.workload.duration_s
+        self.capacity = cfg.queue_capacity
+        self.shed_len = cfg.shed_queue_len
+        self.shedding = False   # bottom brownout rung: admission sheds
+        self.entry = None
+        self.c_last = _NEG_INF  # completion time of the last start
+        self.reconfig_until = 0.0
+        self.ai = 0             # next arrival index to admit
+        self.processed = 0
+        self.lost = 0
+        self.shed = 0
+        self.failed = 0
+        self.retries = 0
+        self.batches = 0
+        self.correct = 0        # integer-exact accuracy_sum
+        self.latencies: list[float] = []  # in completion order
+        if _inference_errors(plan):
+            spec = plan.spec
+            self.budget = spec.inference_retries
+            self.err_from = spec.active_from_s
+            self.err_until = _INF if spec.active_until_s is None \
+                else spec.active_until_s
+            # Every frame is served at most budget + 1 times, so this
+            # block covers every inference decision of the run.
+            self.err_hits = plan.inference_errors(
+                len(arrivals) * (self.budget + 1)).tolist()
         else:
-            _exit_cdf(entry.exit_rates)  # same validation as choice
-            seg_services = [entry.latency_s] * m
-        seg_correct = (u_correct[seg_base:seg_base + m]
-                       < entry.accuracy).tolist()
+            # No inference errors: an empty error window.
+            self.budget = 0
+            self.err_from = self.err_until = _INF
+            self.err_hits = []
+        self.ei = 0  # inference decisions consumed
+        # Every service consumes at most two uniforms of the main
+        # stream (exit choice, correctness).
+        self.draws = np.random.default_rng(sim.seed + 777).random(
+            2 * len(arrivals) * (self.budget + 1) + 2)
 
-    def start_frame(sigma: float) -> None:
-        """Start one service at time ``sigma`` (consumes one RNG pair)."""
-        nonlocal c_last, started, processed, correct
-        service = seg_services[started - seg_base]
-        hit = seg_correct[started - seg_base]
-        started += 1
-        c_last = sigma + service
-        if c_last <= duration:
-            # Completion events at or before the horizon always fire.
-            processed += 1
-            served_latencies.append(service)
-            if hit:
-                correct += 1
-        # else: in flight at the end of the run — the exit draw was
-        # consumed at the start but the frame is neither processed nor
-        # lost, exactly like the event loop's still-busy server.
+    def set_entry(self, entry) -> None:
+        self.entry = entry
 
-    def serve_segment(t_end: float, is_tick: bool) -> bool:
-        """Admit arrivals and run services with start times <= t_end.
+    def queued(self) -> int:
+        """Frames waiting in the queue (excludes the one in service)."""
+        raise NotImplementedError
 
-        Returns False when an exact event-time tie on a decision tick
-        makes the event ordering scheduling-dependent (caller falls
-        back to the event loop).
-        """
-        nonlocal qlen, lost, shed, ai
-        hi = int(np.searchsorted(arrivals, t_end, side="right"))
-        build_tables(hi)
+    def in_flight(self) -> int:
+        """Frames in service at the horizon (no terminal state)."""
+        raise NotImplementedError
+
+
+class _SerialKernel(_Kernel):
+    """One frame per accelerator invocation, no inference errors.
+
+    The event loop draws one uniform at each service start (the exit
+    choice) and one at each completion (the correctness sample),
+    strictly alternating in service order; at most ``n`` frames are ever
+    served, so 2n uniforms cover every draw it can consume.
+    """
+
+    def __init__(self, sim, arrivals, plan):
+        super().__init__(sim, arrivals, plan)
+        self.u_choice = self.draws[0::2]
+        self.u_correct = self.draws[1::2]
+        self.qlen = 0     # admitted frames waiting (excludes in-service)
+        self.started = 0  # frames started == RNG pairs consumed
+
+    def queued(self) -> int:
+        return self.qlen
+
+    def in_flight(self) -> int:
+        return 1 if self.c_last > self.duration else 0
+
+    def serve(self, t_end: float, is_tick: bool) -> bool:
+        entry = self.entry
+        arr_list = self.arr_list
+        duration = self.duration
+        capacity = self.capacity
+        shedding = self.shedding
+        shed_len = self.shed_len
+        reconfig_until = self.reconfig_until
+        served_latencies = self.latencies
+        qlen = self.qlen
+        ai = self.ai
+        c_last = self.c_last
+        started = self.started
+        processed = self.processed
+        correct = self.correct
+        lost = 0
+        shed = 0
+        hi = int(np.searchsorted(self.arrivals, t_end, side="right"))
+
+        # Batch-sample exits / services / correctness for every frame
+        # that could start in this segment (current queue + new
+        # arrivals). Unused tail entries are recomputed by the next
+        # segment with its own entry; the underlying uniforms are
+        # position-indexed, so overcomputation has no RNG side effects.
+        base = started
+        m = qlen + (hi - ai)
+        services: list = []
+        hits: list = []
+        if m > 0:
+            uc = self.u_choice[base:base + m]
+            if entry.exit_latencies_s:
+                idx = _exit_cdf(entry.exit_rates).searchsorted(
+                    uc, side="right")
+                services = np.asarray(entry.exit_latencies_s,
+                                      dtype=np.float64)[idx].tolist()
+            else:
+                _exit_cdf(entry.exit_rates)  # same validation as choice
+                services = [entry.latency_s] * m
+            hits = (self.u_correct[base:base + m] < entry.accuracy).tolist()
+
+        def start_frame(sigma: float) -> None:
+            """Start one service at time ``sigma`` (one RNG pair)."""
+            nonlocal c_last, started, processed, correct
+            service = services[started - base]
+            hit = hits[started - base]
+            started += 1
+            c_last = sigma + service
+            if c_last <= duration:
+                # Completion events at or before the horizon always fire.
+                processed += 1
+                served_latencies.append(service)
+                if hit:
+                    correct += 1
+            # else: in flight at the end of the run — the exit draw was
+            # consumed at the start but the frame reaches no terminal
+            # state, exactly like the event loop's still-busy server.
+
         while ai < hi:
             t_arr = arr_list[ai]
             ai += 1
@@ -255,7 +307,7 @@ def run_fast(sim):
                     break
                 qlen -= 1
                 start_frame(sigma)
-            if brownout and rung == bottom_rung and qlen >= shed_len:
+            if shedding and qlen >= shed_len:
                 shed += 1  # bottom-rung admission control
             elif qlen >= capacity:
                 lost += 1
@@ -264,9 +316,9 @@ def run_fast(sim):
                 start_frame(t_arr)  # idle, unblocked: serve immediately
             else:
                 qlen += 1
-        # Services starting up to the segment boundary. At a decision
-        # tick, a start exactly *on* the boundary comes from a
-        # completion/resume event tied with the decision event; at the
+        # Services starting up to the segment boundary. At a tick or
+        # retry, a start exactly *on* the boundary comes from a
+        # completion/resume event tied with the boundary event; at the
         # run horizon every event <= duration fires, so the boundary is
         # inclusive.
         while qlen:
@@ -277,16 +329,507 @@ def run_fast(sim):
             start_frame(sigma)
         if is_tick and qlen and sigma == t_end:
             return False  # tie: start ordering depends on event seqs
+
+        self.qlen = qlen
+        self.ai = ai
+        self.c_last = c_last
+        self.started = started
+        self.processed = processed
+        self.correct = correct
+        self.lost += lost
+        self.shed += shed
         return True
 
-    for tick in ticks:
-        if not serve_segment(tick, is_tick=True):
+
+class _SerialRetryKernel(_Kernel):
+    """One frame per invocation under transient inference errors.
+
+    A frame whose completion fails is decided at its start: it stays in
+    service until its completion (``pend``), then returns to the queue
+    head with ``attempts + 1`` — at most one such frame exists, and it
+    is always the next to start. Exit choice and correctness share one
+    stream read through a position pointer, because a failed completion
+    draws no correctness uniform.
+    """
+
+    def __init__(self, sim, arrivals, plan):
+        super().__init__(sim, arrivals, plan)
+        self.draw_list = self.draws.tolist()
+        self.p = 0          # next unconsumed position in the main stream
+        self.qlen = 0
+        self.head_att = 0   # attempts of the queue head
+        self.pend = False   # the frame in service returns to the queue
+        self.pend_att = 0
+
+    def queued(self) -> int:
+        return self.qlen
+
+    def in_flight(self) -> int:
+        return 1 if self.c_last > self.duration else 0
+
+    def serve(self, t_end: float, is_tick: bool) -> bool:
+        entry = self.entry
+        arr_list = self.arr_list
+        duration = self.duration
+        capacity = self.capacity
+        shedding = self.shedding
+        shed_len = self.shed_len
+        reconfig_until = self.reconfig_until
+        served_latencies = self.latencies
+        draws = self.draw_list
+        err_hits = self.err_hits
+        err_from = self.err_from
+        err_until = self.err_until
+        budget = self.budget
+        qlen = self.qlen
+        head_att = self.head_att
+        pend = self.pend
+        pend_att = self.pend_att
+        ai = self.ai
+        c_last = self.c_last
+        p = self.p
+        ei = self.ei
+        processed = self.processed
+        correct = self.correct
+        failed = 0
+        retries = 0
+        lost = 0
+        shed = 0
+        hi = int(np.searchsorted(self.arrivals, t_end, side="right"))
+
+        cdf = lat = None
+        const = entry.latency_s
+        accuracy = entry.accuracy
+        if qlen or pend or hi > ai:
+            if entry.exit_latencies_s:
+                cdf = _exit_cdf(entry.exit_rates).tolist()
+                lat = list(entry.exit_latencies_s)
+            else:
+                _exit_cdf(entry.exit_rates)  # same validation as choice
+
+        def start_frame(sigma: float, attempts: int) -> None:
+            nonlocal c_last, p, ei, processed, correct, failed, retries, \
+                pend, pend_att
+            u = draws[p]
+            p += 1
+            service = lat[bisect_right(cdf, u)] if cdf is not None \
+                else const
+            c_last = sigma + service
+            if c_last > duration:
+                return  # in flight at the horizon: no completion
+            if err_from <= c_last < err_until:
+                ei += 1
+                if err_hits[ei - 1]:
+                    # Service time burned; back to the queue head at
+                    # c_last until the budget runs out.
+                    if attempts < budget:
+                        retries += 1
+                        pend = True
+                        pend_att = attempts + 1
+                    else:
+                        failed += 1
+                    return
+            processed += 1
+            served_latencies.append(service)
+            if draws[p] < accuracy:
+                correct += 1
+            p += 1
+
+        while ai < hi:
+            t_arr = arr_list[ai]
+            ai += 1
+            while qlen or pend:
+                sigma = c_last if c_last >= reconfig_until \
+                    else reconfig_until
+                if sigma >= t_arr:
+                    break
+                if pend:
+                    pend = False
+                    qlen += 1
+                    head_att = pend_att
+                qlen -= 1
+                attempts = head_att
+                head_att = 0
+                start_frame(sigma, attempts)
+            if pend and c_last < t_arr:
+                # The failed frame completed before this arrival and
+                # waits at the queue head (reconfiguration dead time).
+                pend = False
+                qlen += 1
+                head_att = pend_att
+            if shedding and qlen >= shed_len:
+                shed += 1
+            elif qlen >= capacity:
+                lost += 1
+            elif qlen == 0 and c_last < t_arr \
+                    and reconfig_until <= t_arr:
+                start_frame(t_arr, 0)
+            else:
+                qlen += 1
+        while qlen or pend:
+            sigma = c_last if c_last >= reconfig_until else reconfig_until
+            if sigma > t_end or (is_tick and sigma == t_end):
+                break
+            if pend:
+                pend = False
+                qlen += 1
+                head_att = pend_att
+            qlen -= 1
+            attempts = head_att
+            head_att = 0
+            start_frame(sigma, attempts)
+        if pend and c_last <= t_end:
+            pend = False
+            qlen += 1
+            head_att = pend_att
+        if is_tick and qlen and sigma == t_end:
+            return False
+
+        self.qlen = qlen
+        self.head_att = head_att
+        self.pend = pend
+        self.pend_att = pend_att
+        self.ai = ai
+        self.c_last = c_last
+        self.p = p
+        self.ei = ei
+        self.processed = processed
+        self.correct = correct
+        self.failed += failed
+        self.retries += retries
+        self.lost += lost
+        self.shed += shed
+        return True
+
+
+class _BatchKernel(_Kernel):
+    """Micro-batched admission, with or without inference errors.
+
+    Queue items are ``(arrival_time, attempts)`` (batch membership is an
+    arrival-window condition) and the RNG stream is consumed
+    batch-granularly: a batch of ``k`` frames draws ``k`` exit uniforms
+    at its start and — only if its completion event fires within the
+    horizon — one correctness uniform per frame that did not fail, at
+    its completion, exactly the order the batched event path consumes
+    them (no other draw interleaves between a batch's start and its
+    completion, because the single server starts the next batch only
+    from the completion callback). Inside the error window every frame
+    of a completing batch consumes one inference decision; failed frames
+    wait in ``retry`` until the batch's completion, then return to the
+    queue head in arrival order. Without inference errors the window is
+    empty and ``retry`` stays empty.
+    """
+
+    def __init__(self, sim, arrivals, plan):
+        super().__init__(sim, arrivals, plan)
+        cfg = sim.config
+        self.batch_window = cfg.batch_window_s
+        self.overhead = cfg.dispatch_overhead_s
+        self.pend: deque = deque()  # queued frames
+        self.retry: list = []       # failed frames of the last batch
+        self.p = 0                  # next unconsumed stream position
+        self.k_last = 0             # size of the last started batch
+        self.tables = None
+
+    def set_entry(self, entry) -> None:
+        # Sampling tables are built lazily at the first batch start of a
+        # segment — the moment the event path first validates the
+        # entry's exit distribution.
+        self.entry = entry
+        self.tables = None
+
+    def _tables(self):
+        if self.tables is None:
+            entry = self.entry
+            if entry.exit_latencies_s:
+                self.tables = (_exit_cdf(entry.exit_rates),
+                               np.asarray(entry.exit_latencies_s,
+                                          dtype=np.float64), 0.0)
+            else:
+                _exit_cdf(entry.exit_rates)  # same validation as choice
+                self.tables = (None, None, entry.latency_s)
+        return self.tables
+
+    def _services(self, k: int) -> list:
+        """Exit-path service times of the next ``k`` frames started."""
+        cdf, lat, const = self._tables()
+        uc = self.draws[self.p:self.p + k]
+        self.p += k
+        if cdf is not None:
+            return lat[cdf.searchsorted(uc, side="right")].tolist()
+        return [const] * k
+
+    def queued(self) -> int:
+        return len(self.pend)
+
+    def in_flight(self) -> int:
+        return self.k_last if self.c_last > self.duration else 0
+
+    def start_batch(self, sigma: float) -> float:
+        """Start one plan invocation at ``sigma``: the queue head plus
+        every queued frame within ``batch_window`` of its arrival.
+        Returns the invocation's completion time."""
+        pend = self.pend
+        retry = self.retry
+        if retry:
+            # The previous batch completed: its failed frames are back
+            # at the head, in arrival order.
+            pend.extendleft(reversed(retry))
+            retry.clear()
+        head = pend.popleft()
+        batch = [head]
+        window_end = head[0] + self.batch_window
+        while pend and pend[0][0] <= window_end:
+            batch.append(pend.popleft())
+        k = len(batch)
+        services = self._services(k)
+        overhead = self.overhead
+        total = overhead
+        for service in services:
+            total += service
+        self.c_last = c_last = sigma + total
+        self.k_last = k
+        if c_last > self.duration:
+            # In flight at the horizon — exit draws consumed, no
+            # completion, no terminal state.
+            return c_last
+        # The completion event fires: settle the whole batch. The
+        # correctness draws sit right after the exit draws in the
+        # stream, as the event path's completion callback consumes them.
+        self.batches += 1
+        share = overhead / k
+        accuracy = self.entry.accuracy
+        draws = self.draws
+        latencies = self.latencies
+        p = self.p
+        correct = 0
+        processed = 0
+        active = self.err_from <= c_last < self.err_until
+        for (arrival_t, attempts), service in zip(batch, services):
+            if active:
+                self.ei += 1
+                if self.err_hits[self.ei - 1]:
+                    if attempts < self.budget:
+                        self.retries += 1
+                        retry.append((arrival_t, attempts + 1))
+                    else:
+                        self.failed += 1
+                    continue
+            processed += 1
+            latencies.append(service + share)
+            if draws[p] < accuracy:
+                correct += 1
+            p += 1
+        self.p = p
+        self.correct += correct
+        self.processed += processed
+        return c_last
+
+    def _requeue(self, t: float, strict: bool) -> None:
+        """Return failed frames to the head once their batch completed
+        (strictly before ``t`` for an arrival, which fires before a
+        completion at the same instant)."""
+        if self.retry and (self.c_last < t or
+                           (not strict and self.c_last == t)):
+            self.pend.extendleft(reversed(self.retry))
+            self.retry.clear()
+
+    def serve(self, t_end: float, is_tick: bool) -> bool:
+        pend = self.pend
+        retry = self.retry
+        arr_list = self.arr_list
+        capacity = self.capacity
+        shedding = self.shedding
+        shed_len = self.shed_len
+        reconfig_until = self.reconfig_until
+        start_batch = self.start_batch
+        c_last = self.c_last
+        lost = 0
+        shed = 0
+        ai = self.ai
+        hi = int(np.searchsorted(self.arrivals, t_end, side="right"))
+        while ai < hi:
+            t_arr = arr_list[ai]
+            ai += 1
+            while pend or retry:
+                sigma = c_last if c_last >= reconfig_until \
+                    else reconfig_until
+                if sigma >= t_arr:
+                    break
+                c_last = start_batch(sigma)
+            self._requeue(t_arr, strict=True)
+            if shedding and len(pend) >= shed_len:
+                shed += 1  # bottom-rung admission control
+            elif len(pend) >= capacity:
+                lost += 1
+            elif not pend and c_last < t_arr \
+                    and reconfig_until <= t_arr:
+                pend.append((t_arr, 0))
+                c_last = start_batch(t_arr)  # idle: a batch of itself
+            else:
+                pend.append((t_arr, 0))
+        self.ai = ai
+        while pend or retry:
+            sigma = c_last if c_last >= reconfig_until else reconfig_until
+            if sigma > t_end or (is_tick and sigma == t_end):
+                break
+            c_last = start_batch(sigma)
+        self._requeue(t_end, strict=False)
+        if is_tick and pend and sigma == t_end:
+            return False  # tie: start ordering depends on event seqs
+        self.lost += lost
+        self.shed += shed
+        return True
+
+
+class _ReconfigReplay:
+    """The event loop's ``attempt_reconfig`` under a fault plan.
+
+    Each attempt asks the plan for its outcome and the controller for
+    the swap; a failure within the retry budget leaves ``retry_at`` set
+    to the next attempt's time (one more segment boundary for
+    :func:`run_fast`), an exhausted budget degrades in place.
+    """
+
+    def __init__(self, plan, controller, policy):
+        self.plan = plan
+        self.spec = plan.spec
+        self.controller = controller
+        self.degrade = getattr(policy, "select_without_reconfig", None)
+        self.inflight = False
+        self.retry_at = _INF
+        self.target = None
+        self.next_attempt = 0
+        self.failures = 0
+        self.retries = 0
+        self.dead_time_s = 0.0
+
+    def attempt(self, selected, attempt: int, now: float, entry,
+                kernel: _Kernel):
+        """One attempt at ``now``; returns the deployed entry after it."""
+        controller = self.controller
+        nominal = controller.planned_duration_s(selected.accelerator)
+        fails, duration = self.plan.reconfig_outcome(now, nominal)
+        success, dead = controller.attempt_switch(
+            selected.accelerator, now_s=now, duration_s=duration,
+            fails=fails)
+        kernel.reconfig_until = max(kernel.reconfig_until, now + dead)
+        self.retry_at = _INF
+        if success:
+            self.inflight = False
+            return selected
+        self.failures += 1
+        self.dead_time_s += dead
+        if attempt < self.spec.reconfig_retries:
+            # Retry with exponential backoff; the old accelerator keeps
+            # serving between attempts.
+            self.inflight = True
+            self.retries += 1
+            backoff = self.spec.retry_backoff_s * (2 ** attempt)
+            self.retry_at = now + (dead + backoff)
+            self.target = selected
+            self.next_attempt = attempt + 1
+            return entry
+        self.inflight = False
+        if self.degrade is None:
+            return entry
+        return self.degrade(entry) or entry
+
+    def retry(self, entry, kernel: _Kernel):
+        """Fire the pending retry at ``retry_at``."""
+        return self.attempt(self.target, self.next_attempt, self.retry_at,
+                            entry, kernel)
+
+
+def run_fast(sim):
+    """One serving run, segment-batched; ``None`` = fall back to events.
+
+    Bit-identical to ``EdgeServerSimulator`` event mode, fault campaigns
+    included: same RNG streams consumed in the same order, same float
+    operations for every queue / clock update, same trace values. See
+    the module docstring for the fallback condition.
+    """
+    cfg = sim.config
+    workload = sim.workload
+    duration = workload.duration_s
+    policy = sim.policy
+
+    plan = sim._fault_plan()
+    arrivals, total, dropped = _served_arrivals(sim, plan)
+    if cfg.batching:
+        kernel_cls = _BatchKernel
+    elif _inference_errors(plan):
+        kernel_cls = _SerialRetryKernel
+    else:
+        kernel_cls = _SerialKernel
+    kernel = kernel_cls(sim, arrivals, plan)
+    arr_list = kernel.arr_list
+
+    monitor = WorkloadMonitor(window_s=cfg.monitor_window_s)
+    controller = ReconfigurationController(
+        reconfig_time_s=cfg.reconfig_time_s,
+        cost_model=cfg.partial_reconfig)
+
+    entry = policy.select(workload.nominal_ips)
+    controller.switch(entry.accelerator, now_s=0.0)
+    initial_events = controller.count
+    kernel.set_entry(entry)
+    replay = None if plan is None else _ReconfigReplay(plan, controller,
+                                                       policy)
+
+    ticks = _tick_times(cfg, duration)
+    capacity = cfg.queue_capacity
+    record_trace = cfg.record_trace
+    trace: dict = {"t": [], "workload_ips": [], "pruning_rate": [],
+                   "confidence_threshold": [], "accuracy": [],
+                   "serving_ips": []}
+
+    # Brownout ladder (mirrors the event loop's on_arrival/on_decision
+    # additions with identical float comparisons and floor arithmetic).
+    brownout = cfg.brownout
+    brown_levels = cfg.brownout_levels
+    bottom_rung = len(brown_levels)
+    select_at = getattr(policy, "select_at", None)
+    base_floor = getattr(policy, "min_accuracy", None)
+    ladder = brownout and select_at is not None and base_floor is not None
+    rung = 0
+    brownout_steps = 0
+    brownout_time_s = 0.0
+    brownout_since = 0.0
+
+    energy_j = 0.0
+    last_power_t = 0.0
+    fed = 0               # arrivals already fed to the monitor
+    ti = 0
+    n_ticks = len(ticks)
+
+    while True:
+        tick = ticks[ti] if ti < n_ticks else _INF
+        retry_at = _INF if replay is None else replay.retry_at
+        is_retry = retry_at < tick
+        if is_retry:
+            if retry_at > duration:
+                break  # past the horizon: the retry never fires
+            boundary = retry_at
+        elif tick < retry_at:
+            boundary = tick
+        elif tick == _INF:
+            break
+        else:
+            return None  # a retry landing on a tick: order-dependent
+        if not kernel.serve(boundary, is_tick=True):
             return None
-        if c_last == tick or reconfig_until == tick:
+        if kernel.c_last == boundary or kernel.reconfig_until == boundary:
             # A completion or reconfiguration-resume lands exactly on
-            # the tick: whether it precedes the decision depends on
-            # event scheduling order. Let the oracle decide.
+            # the boundary: whether it precedes the boundary event
+            # depends on event scheduling order. Let the oracle decide.
             return None
+        if is_retry:
+            entry = replay.retry(entry, kernel)
+            kernel.set_entry(entry)
+            continue
+
+        ti += 1
         hi = int(np.searchsorted(arrivals, tick, side="right"))
         if hi > fed:
             monitor.observe_many(arr_list[fed:hi])
@@ -297,7 +840,7 @@ def run_fast(sim):
             energy_j += entry.power_at(ips) * dt
             last_power_t = tick
         if brownout:
-            occ = qlen / capacity
+            occ = kernel.queued() / capacity
             new_rung = rung
             if occ >= cfg.brownout_high and new_rung < bottom_rung:
                 new_rung += 1
@@ -310,17 +853,26 @@ def run_fast(sim):
                 elif new_rung == 0:
                     brownout_time_s += tick - brownout_since
                 rung = new_rung
+                kernel.shedding = rung == bottom_rung
         if ladder and rung > 0:
             selected = select_at(
                 base_floor - brown_levels[rung - 1], ips, current=entry)
         else:
             selected = policy.select(ips, current=entry)
         if controller.needs_switch(selected.accelerator):
-            dead = controller.switch(selected.accelerator, now_s=tick)
-            reconfig_until = tick + dead
-        entry = selected
+            if replay is None:
+                dead = controller.switch(selected.accelerator, now_s=tick)
+                kernel.reconfig_until = tick + dead
+                entry = selected
+            elif not replay.inflight:
+                entry = replay.attempt(selected, 0, tick, entry, kernel)
+        else:
+            entry = selected
+        kernel.set_entry(entry)
         monitor.acknowledge(tick)
         if record_trace:
+            # The *deployed* operating point: under fault injection a
+            # failed reconfiguration can leave it behind the selection.
             trace["t"].append(tick)
             trace["workload_ips"].append(ips)
             trace["pruning_rate"].append(entry.accelerator.pruning_rate)
@@ -329,9 +881,8 @@ def run_fast(sim):
             trace["accuracy"].append(entry.accuracy)
             trace["serving_ips"].append(entry.serving_ips)
 
-    if not serve_segment(duration, is_tick=False):  # pragma: no cover
+    if not kernel.serve(duration, is_tick=False):  # pragma: no cover
         return None
-    lost += qlen  # still queued at the horizon: never served
     if rung > 0:
         brownout_time_s += duration - brownout_since
 
@@ -347,285 +898,36 @@ def run_fast(sim):
 
     # cumsum is a sequential left-to-right accumulation, bit-identical
     # to the event loop's `latency_sum += service` chain.
-    if served_latencies:
-        latency_sum = float(np.cumsum(np.asarray(served_latencies))[-1])
+    latencies = kernel.latencies
+    if latencies:
+        latency_sum = float(np.cumsum(np.asarray(latencies))[-1])
     else:
         latency_sum = 0.0
-    accuracy_sum = float(correct)
+    processed = kernel.processed
 
     post = controller.events[initial_events:]
     return RunMetrics(
         policy=getattr(policy, "name", type(policy).__name__),
         duration_s=duration,
-        total_requests=n,
+        total_requests=total,
         processed=processed,
-        lost=lost,
-        accuracy=accuracy_sum / processed if processed else 0.0,
+        # Still queued at the horizon: never served.
+        lost=kernel.lost + kernel.queued(),
+        accuracy=float(kernel.correct) / processed if processed else 0.0,
         avg_latency_s=latency_sum / processed if processed else 0.0,
         energy_j=energy_j,
         reconfigurations=sum(1 for e in post if e.success),
         reconfig_dead_time_s=sum(e.duration_s for e in post if e.success),
-        shed=shed,
+        dropped=dropped,
+        failed=kernel.failed,
+        retries=kernel.retries,
+        reconfig_failures=replay.failures if replay else 0,
+        reconfig_retries=replay.retries if replay else 0,
+        fault_dead_time_s=replay.dead_time_s if replay else 0.0,
+        batches=kernel.batches,
+        shed=kernel.shed,
         brownout_steps=brownout_steps,
         brownout_time_s=brownout_time_s,
-        trace=trace if record_trace else {},
-    )
-
-
-def _run_fast_batched(sim):
-    """Fast path for micro-batched admission; ``None`` = use events.
-
-    Same segment framework as :func:`run_fast`, but the queue keeps
-    arrival *times* (batch membership is an arrival-window condition)
-    and the RNG stream is consumed batch-granularly: a batch of ``k``
-    frames draws ``k`` exit uniforms at its start and — only if its
-    completion event fires within the horizon — ``k`` correctness
-    uniforms at its completion, exactly the order the batched event
-    path consumes them (no other draw interleaves between a batch's
-    start and its completion, because the single server starts the next
-    batch only from the completion callback).
-    """
-    cfg = sim.config
-    workload = sim.workload
-    duration = workload.duration_s
-    policy = sim.policy
-
-    rng = np.random.default_rng(sim.seed + 777)
-    arrivals = sim._arrival_times()
-    n = len(arrivals)
-    draws = rng.random(2 * n + 2)
-    arr_list = arrivals.tolist()
-
-    monitor = WorkloadMonitor(window_s=cfg.monitor_window_s)
-    controller = ReconfigurationController(
-        reconfig_time_s=cfg.reconfig_time_s,
-        cost_model=cfg.partial_reconfig)
-
-    entry = policy.select(workload.nominal_ips)
-    controller.switch(entry.accelerator, now_s=0.0)
-    initial_events = controller.count
-
-    ticks: list[float] = []
-    t = 0.0 + (cfg.decision_offset_s + cfg.decision_interval_s)
-    if t <= duration:
-        while True:
-            ticks.append(t)
-            if t + cfg.decision_interval_s < duration:
-                t = t + cfg.decision_interval_s
-            else:
-                break
-
-    capacity = cfg.queue_capacity
-    batch_window = cfg.batch_window_s
-    overhead = cfg.dispatch_overhead_s
-    record_trace = cfg.record_trace
-    trace: dict = {"t": [], "workload_ips": [], "pruning_rate": [],
-                   "confidence_threshold": [], "accuracy": [],
-                   "serving_ips": []}
-
-    brownout = cfg.brownout
-    brown_levels = cfg.brownout_levels
-    bottom_rung = len(brown_levels)
-    shed_len = cfg.shed_queue_len
-    select_at = getattr(policy, "select_at", None)
-    base_floor = getattr(policy, "min_accuracy", None)
-    ladder = brownout and select_at is not None and base_floor is not None
-
-    pend: deque = deque()  # arrival times of queued frames
-    c_last = _NEG_INF     # completion time of the last *started* batch
-    reconfig_until = 0.0
-    p = 0                 # next unconsumed position in the draw stream
-    processed = 0
-    lost = 0
-    shed = 0
-    rung = 0
-    brownout_steps = 0
-    brownout_time_s = 0.0
-    brownout_since = 0.0
-    correct = 0
-    batches = 0
-    served_latencies: list[float] = []
-    energy_j = 0.0
-    last_power_t = 0.0
-    ai = 0
-    fed = 0
-
-    # Per-segment sampling tables for the deployed entry, built lazily
-    # at the first batch start of the segment — the same moment the
-    # event path first validates the entry's exit distribution.
-    seg_cdf = None
-    seg_lat = None
-    seg_const = 0.0
-    seg_acc = 0.0
-    tables_ready = False
-
-    def ensure_tables() -> None:
-        nonlocal seg_cdf, seg_lat, seg_const, seg_acc, tables_ready
-        if tables_ready:
-            return
-        if entry.exit_latencies_s:
-            seg_cdf = _exit_cdf(entry.exit_rates)
-            seg_lat = np.asarray(entry.exit_latencies_s, dtype=np.float64)
-        else:
-            _exit_cdf(entry.exit_rates)  # same validation as choice
-            seg_cdf = None
-            seg_const = entry.latency_s
-        seg_acc = entry.accuracy
-        tables_ready = True
-
-    def start_batch(sigma: float) -> None:
-        """Start one plan invocation at ``sigma``: the queue head plus
-        every queued frame within ``batch_window`` of its arrival."""
-        nonlocal c_last, p, processed, correct, batches
-        ensure_tables()
-        head = pend.popleft()
-        window_end = head + batch_window
-        k = 1
-        while pend and pend[0] <= window_end:
-            pend.popleft()
-            k += 1
-        uc = draws[p:p + k]
-        p += k
-        if seg_cdf is not None:
-            idx = seg_cdf.searchsorted(uc, side="right")
-            services = seg_lat[idx].tolist()
-        else:
-            services = [seg_const] * k
-        total = overhead
-        for service in services:
-            total += service
-        c_last = sigma + total
-        if c_last <= duration:
-            # The completion event fires: count the whole batch. The
-            # correctness draws sit right after the exit draws in the
-            # stream, as the event path's completion callback consumes
-            # them.
-            batches += 1
-            share = overhead / k
-            ur = draws[p:p + k]
-            p += k
-            for i in range(k):
-                processed += 1
-                served_latencies.append(services[i] + share)
-                if ur[i] < seg_acc:
-                    correct += 1
-        # else: in flight at the horizon — exit draws consumed, no
-        # completion, frames neither processed nor lost.
-
-    def serve_segment(t_end: float, is_tick: bool) -> bool:
-        nonlocal lost, shed, ai
-        hi = int(np.searchsorted(arrivals, t_end, side="right"))
-        while ai < hi:
-            t_arr = arr_list[ai]
-            ai += 1
-            while pend:
-                sigma = c_last if c_last >= reconfig_until \
-                    else reconfig_until
-                if sigma >= t_arr:
-                    break
-                start_batch(sigma)
-            if brownout and rung == bottom_rung \
-                    and len(pend) >= shed_len:
-                shed += 1  # bottom-rung admission control
-            elif len(pend) >= capacity:
-                lost += 1
-            elif not pend and c_last < t_arr \
-                    and reconfig_until <= t_arr:
-                pend.append(t_arr)
-                start_batch(t_arr)  # idle, unblocked: a batch of itself
-            else:
-                pend.append(t_arr)
-        while pend:
-            sigma = c_last if c_last >= reconfig_until else reconfig_until
-            if sigma > t_end or (is_tick and sigma == t_end):
-                break
-            start_batch(sigma)
-        if is_tick and pend and sigma == t_end:
-            return False  # tie: start ordering depends on event seqs
-        return True
-
-    for tick in ticks:
-        if not serve_segment(tick, is_tick=True):
-            return None
-        if c_last == tick or reconfig_until == tick:
-            return None  # completion/resume tied with the decision
-        hi = int(np.searchsorted(arrivals, tick, side="right"))
-        if hi > fed:
-            monitor.observe_many(arr_list[fed:hi])
-            fed = hi
-        ips = monitor.sampled_ips(tick)
-        dt = tick - last_power_t
-        if dt > 0:
-            energy_j += entry.power_at(ips) * dt
-            last_power_t = tick
-        if brownout:
-            occ = len(pend) / capacity
-            new_rung = rung
-            if occ >= cfg.brownout_high and new_rung < bottom_rung:
-                new_rung += 1
-            elif occ <= cfg.brownout_low and new_rung > 0:
-                new_rung -= 1
-            if new_rung != rung:
-                brownout_steps += 1
-                if rung == 0:
-                    brownout_since = tick
-                elif new_rung == 0:
-                    brownout_time_s += tick - brownout_since
-                rung = new_rung
-        if ladder and rung > 0:
-            selected = select_at(
-                base_floor - brown_levels[rung - 1], ips, current=entry)
-        else:
-            selected = policy.select(ips, current=entry)
-        if controller.needs_switch(selected.accelerator):
-            dead = controller.switch(selected.accelerator, now_s=tick)
-            reconfig_until = tick + dead
-        entry = selected
-        tables_ready = False
-        monitor.acknowledge(tick)
-        if record_trace:
-            trace["t"].append(tick)
-            trace["workload_ips"].append(ips)
-            trace["pruning_rate"].append(entry.accelerator.pruning_rate)
-            trace["confidence_threshold"].append(
-                entry.confidence_threshold)
-            trace["accuracy"].append(entry.accuracy)
-            trace["serving_ips"].append(entry.serving_ips)
-
-    if not serve_segment(duration, is_tick=False):  # pragma: no cover
-        return None
-    lost += len(pend)
-    if rung > 0:
-        brownout_time_s += duration - brownout_since
-
-    hi_end = int(np.searchsorted(arrivals, duration, side="right"))
-    if hi_end > fed:
-        monitor.observe_many(arr_list[fed:hi_end])
-    final_ips = monitor.sampled_ips(duration)
-    dt = duration - last_power_t
-    if dt > 0:
-        energy_j += entry.power_at(final_ips) * dt
-
-    if served_latencies:
-        latency_sum = float(np.cumsum(np.asarray(served_latencies))[-1])
-    else:
-        latency_sum = 0.0
-
-    post = controller.events[initial_events:]
-    return RunMetrics(
-        policy=getattr(policy, "name", type(policy).__name__),
-        duration_s=duration,
-        total_requests=n,
-        processed=processed,
-        lost=lost,
-        accuracy=float(correct) / processed if processed else 0.0,
-        avg_latency_s=latency_sum / processed if processed else 0.0,
-        energy_j=energy_j,
-        reconfigurations=sum(1 for e in post if e.success),
-        reconfig_dead_time_s=sum(e.duration_s for e in post if e.success),
-        batches=batches,
-        shed=shed,
-        brownout_steps=brownout_steps,
-        brownout_time_s=brownout_time_s,
+        in_flight=kernel.in_flight(),
         trace=trace if record_trace else {},
     )

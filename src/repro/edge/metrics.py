@@ -50,6 +50,11 @@ class RunMetrics:
     decision, unlike ``lost`` queue overflow). ``brownout_steps`` counts
     rung transitions and ``brownout_time_s`` the total time spent below
     rung 0 (serving under a lowered accuracy floor).
+
+    ``in_flight`` counts the frames in service at the horizon (the last
+    started frame, or micro-batch, whose completion falls after the end
+    of the run): they reach no terminal state, so ``processed + lost +
+    dropped + failed + shed + in_flight == total_requests``.
     """
 
     policy: str
@@ -72,17 +77,19 @@ class RunMetrics:
     shed: int = 0
     brownout_steps: int = 0
     brownout_time_s: float = 0.0
+    in_flight: int = 0
     trace: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if min(self.processed, self.lost, self.dropped, self.failed,
-               self.retries, self.shed, self.brownout_steps) < 0:
+               self.retries, self.shed, self.brownout_steps,
+               self.in_flight) < 0:
             raise ValueError("request counters must be >= 0")
         if self.processed + self.lost + self.dropped + self.failed \
-                + self.shed > self.total_requests:
+                + self.shed + self.in_flight > self.total_requests:
             raise ValueError(
-                "processed + lost + dropped + failed + shed cannot "
-                "exceed total requests")
+                "processed + lost + dropped + failed + shed + in_flight "
+                "cannot exceed total requests")
 
     @property
     def unserved(self) -> int:

@@ -53,9 +53,10 @@ class ServerConfig:
 
     ``sim_mode`` picks the simulation engine: ``"event"`` is the
     discrete-event oracle, ``"vector"`` the segment-batched fast path
-    (:mod:`repro.edge.fastsim`, bit-identical, ~10-50x faster, falling
-    back to events whenever vectorization would be unsound), and
-    ``"auto"`` (default) uses the fast path when eligible.
+    (:mod:`repro.edge.fastsim`, bit-identical with or without fault
+    injection, ~10-50x faster, falling back to events only on an exact
+    event-time tie), and ``"auto"`` (default) uses the fast path when
+    it can.
 
     ``batch_window_s``/``dispatch_overhead_s`` enable micro-batched
     admission: when the server picks up the head of the queue, every
@@ -192,10 +193,11 @@ class EdgeServerSimulator:
         """Simulate one run, dispatching on ``config.sim_mode``.
 
         ``auto``/``vector`` use the segment-batched fast path
-        (:mod:`repro.edge.fastsim`) when the run is eligible; fault
-        campaigns and exact event-time ties fall back to the event
-        loop, which remains the semantics oracle. Results are
-        bit-identical either way.
+        (:mod:`repro.edge.fastsim`), which replays fault plans too; a
+        run with an exact event-time tie on a decision tick or
+        reconfiguration retry falls back to the event loop, which
+        remains the semantics oracle. Results are bit-identical either
+        way.
         """
         if self.config.sim_mode in ("auto", "vector"):
             metrics = fastsim.run_fast(self)
@@ -230,7 +232,7 @@ class EdgeServerSimulator:
         queue: deque = deque()  # of (arrival_time, attempts_so_far)
         state = {
             "entry": entry,
-            "busy": False,
+            "in_flight": 0,  # frames in service (0 = server idle)
             "reconfig_until": 0.0,
             "reconfig_inflight": False,
             "processed": 0,
@@ -306,10 +308,10 @@ class EdgeServerSimulator:
             for service in services:
                 total += service
             share = cfg.dispatch_overhead_s / k
-            state["busy"] = True
+            state["in_flight"] = k
 
             def complete(loop2: EventLoop) -> None:
-                state["busy"] = False
+                state["in_flight"] = 0
                 state["batches"] += 1
                 retry = []
                 for (arrival_t, attempts), service in zip(batch, services):
@@ -333,7 +335,7 @@ class EdgeServerSimulator:
             loop_.schedule(total, complete)
 
         def try_start_service(loop_: EventLoop) -> None:
-            if state["busy"] or not queue:
+            if state["in_flight"] or not queue:
                 return
             if loop_.now < state["reconfig_until"]:
                 return
@@ -345,10 +347,10 @@ class EdgeServerSimulator:
             exit_idx = int(rng.choice(len(entry_.exit_rates),
                                       p=np.asarray(entry_.exit_rates)))
             service = entry_.service_latency_s(exit_idx)
-            state["busy"] = True
+            state["in_flight"] = 1
 
             def complete(loop2: EventLoop) -> None:
-                state["busy"] = False
+                state["in_flight"] = 0
                 if plan is not None and plan.inference_fails(loop2.now):
                     # Transient accelerator error: the service time is
                     # burned; retry at the head of the queue until the
@@ -522,6 +524,7 @@ class EdgeServerSimulator:
             shed=state["shed"],
             brownout_steps=state["brownout_steps"],
             brownout_time_s=state["brownout_time_s"],
+            in_flight=state["in_flight"],
             trace=trace if cfg.record_trace else {},
         )
 

@@ -17,9 +17,11 @@ campaigns are byte-reproducible and double as regression tests:
   were sampled before it. Two plans built from the same ``(spec, seed)``
   make identical decisions forever.
 
-The simulator asks the plan one question per event (``drop_request``,
-``inference_fails``, ``reconfig_outcome``) and merges ``spike_arrivals``
-into the workload before the run starts. When no spec is given the
+The event-loop simulator asks the plan one question per event
+(``drop_request``, ``inference_fails``, ``reconfig_outcome``) and merges
+``spike_arrivals`` into the workload before the run starts; the
+vectorized fast path asks the same questions in blocks (``drop_mask``,
+``inference_errors``) and gets the same answers. When no spec is given the
 simulator never touches a plan, keeping fault-free runs bit-identical to
 the pre-fault code path.
 """
@@ -185,6 +187,44 @@ class FaultPlan:
         if hit:
             self.injected["drops"] += 1
         return hit
+
+    def drop_mask(self, times) -> np.ndarray:
+        """:meth:`drop_request` for a whole sequence of arrivals at once.
+
+        ``times`` are the arrivals in the order the requests reach the
+        server. The decisions (and the ``injected`` counts) equal one
+        :meth:`drop_request` call per arrival in that order: arrivals
+        outside the active window draw nothing and are never dropped,
+        the rest draw from the drop stream in one block.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        s = self.spec
+        mask = np.zeros(len(times), dtype=bool)
+        if s.drop_prob == 0.0 or not len(times):
+            return mask
+        active = times >= s.active_from_s
+        if s.active_until_s is not None:
+            active &= times < s.active_until_s
+        hits = self._drop_rng.random(int(np.count_nonzero(active))) \
+            < s.drop_prob
+        mask[active] = hits
+        self.injected["drops"] += int(np.count_nonzero(hits))
+        return mask
+
+    def inference_errors(self, count: int) -> np.ndarray:
+        """The next ``count`` decisions of the inference-error stream.
+
+        Element ``i`` is what the ``i``-th :meth:`inference_fails` call
+        made inside the active window would return. A caller that gates
+        on :meth:`active` itself can pre-draw a whole run's decisions in
+        one block (over-drawing is harmless when the plan is private to
+        the run); unlike :meth:`inference_fails` this counts nothing into
+        ``injected``.
+        """
+        s = self.spec
+        if s.inference_error_prob == 0.0:
+            return np.zeros(count, dtype=bool)
+        return self._inference_rng.random(count) < s.inference_error_prob
 
     def inference_fails(self, now: float) -> bool:
         """Transient accelerator error on one inference."""

@@ -2,12 +2,14 @@
 
 ``repro.edge.fastsim`` promises **bit-identical** ``RunMetrics``
 (including per-tick traces) to the discrete-event oracle, with a
-whole-run fallback whenever it cannot prove equivalence. These tests
-pin that contract: hypothesis drives random workloads, queue
-capacities, decision intervals and policies through both engines and
-compares every field exactly; fault campaigns must route to the
-event-loop fallback; and a chaos case checks the dispatcher end-to-end
-under the heavy fault preset.
+whole-run fallback only on exact event-time ties. These tests pin that
+contract: hypothesis drives random workloads, queue capacities,
+decision intervals and policies through both engines and compares
+every field exactly; random fault specs (every fault category, active
+windows, retry budgets) crossed with batching, brownout, partial
+reconfiguration and staggered ticks must replay on the fast path
+without falling back; and a chaos case checks the dispatcher
+end-to-end under the heavy fault preset.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.edge import fastsim
 from repro.edge.server import EdgeServerSimulator
 from repro.runtime import make_policy
 from repro.runtime.faults import FaultSpec
+from repro.runtime.reconfig import PartialReconfigModel
 
 from repro.runtime import Library
 from tests.conftest import make_entry as _entry
@@ -57,8 +60,17 @@ def run_metrics(policy_lib, workload, config, seed, faults=None):
     return sim.run()
 
 
+def assert_conserved(m):
+    """Every request reaches exactly one terminal state or is still in
+    service at the horizon."""
+    assert m.processed + m.lost + m.dropped + m.failed + m.shed \
+        + m.in_flight == m.total_requests
+
+
 def assert_identical(a, b):
     """Every RunMetrics field exactly equal, traces compared per key."""
+    assert_conserved(a)
+    assert_conserved(b)
     da, db = dataclasses.asdict(a), dataclasses.asdict(b)
     ta, tb = da.pop("trace"), db.pop("trace")
     assert da == db
@@ -96,11 +108,10 @@ class TestBitIdentity:
         assert_identical(event, vector)
 
     def test_fast_path_actually_engages(self):
-        """The eligibility predicate accepts the default fault-free
-        setup — guards against the fast path silently never running."""
+        """The default fault-free setup runs on the fast path — guards
+        against it silently never running."""
         sim = EdgeServerSimulator(
             make_policy("adapex", build_library()), WorkloadSpec())
-        assert fastsim.vectorizable(sim)
         assert fastsim.run_fast(sim) is not None
 
     def test_golden_conditions(self):
@@ -131,29 +142,70 @@ class TestBitIdentity:
         assert out["event"] == out["vector"]
 
 
-class TestFallback:
-    @settings(max_examples=10, deadline=None)
-    @given(preset=st.sampled_from(["light", "heavy", "chaos"]),
-           seed=st.integers(0, 1000))
-    def test_faults_route_to_event_loop(self, preset, seed):
-        """Any fault spec disqualifies the fast path: run_fast returns
-        None and the dispatcher produces the event-loop result."""
-        lib = build_library()
-        workload = WorkloadSpec(num_cameras=3, ips_per_camera=30.0,
-                                duration_s=4.0)
-        faults = FaultSpec.parse(preset)
-        sim = EdgeServerSimulator(
-            make_policy("adapex", lib), workload,
-            config=ServerConfig(sim_mode="vector"), seed=seed,
-            faults=faults)
-        assert not fastsim.vectorizable(sim)
-        assert fastsim.run_fast(sim) is None
-        auto = run_metrics(lib, workload, ServerConfig(sim_mode="auto"),
-                           seed, faults=faults)
-        event = run_metrics(lib, workload, ServerConfig(sim_mode="event"),
-                            seed, faults=faults)
-        assert_identical(auto, event)
+fault_specs = st.builds(
+    FaultSpec,
+    reconfig_failure_prob=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    reconfig_jitter=st.floats(0.0, 0.9),
+    inference_error_prob=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    drop_prob=st.sampled_from([0.0, 0.02, 0.3]),
+    spike_prob=st.sampled_from([0.0, 0.3, 1.0]),
+    spike_factor=st.floats(1.0, 4.0),
+    spike_duration_s=st.floats(0.2, 3.0),
+    reconfig_retries=st.integers(0, 3),
+    inference_retries=st.integers(0, 3),
+    # A zero backoff lands each retry on its own attempt's resume
+    # instant — an exact tie the fast path declines by design.
+    retry_backoff_s=st.floats(0.01, 0.3),
+    active_from_s=st.floats(0.0, 4.0),
+).flatmap(lambda spec: st.builds(
+    dataclasses.replace, st.just(spec),
+    active_until_s=st.one_of(
+        st.none(),
+        st.floats(spec.active_from_s + 0.1, spec.active_from_s + 8.0))))
 
+
+class TestFaultReplay:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        faults=fault_specs,
+        workload=workloads,
+        seed=st.integers(0, 2**20),
+        fault_seed=st.integers(0, 2**10),
+        capacity=st.sampled_from([1, 3, 32]),
+        interval=st.floats(0.1, 3.0),
+        offset=st.sampled_from([0.0, 0.37]),
+        batch=st.sampled_from([(0.0, 0.0), (0.02, 0.001), (0.0, 0.002)]),
+        brownout=st.booleans(),
+        partial=st.booleans(),
+    )
+    def test_fault_campaigns_match_event_loop(
+            self, faults, workload, seed, fault_seed, capacity, interval,
+            offset, batch, brownout, partial):
+        """Any fault spec replays on the fast path (no fallback) with
+        every RunMetrics field, trace and conservation ledger identical
+        to the event loop."""
+        lib = build_library()
+        cfg = dict(queue_capacity=capacity, decision_interval_s=interval,
+                   decision_offset_s=offset, batch_window_s=batch[0],
+                   dispatch_overhead_s=batch[1])
+        if brownout:
+            cfg.update(brownout_levels=(0.05, 0.12),
+                       brownout_shed_occupancy=0.5)
+        if partial:
+            cfg["partial_reconfig"] = PartialReconfigModel()
+
+        def sim(mode):
+            return EdgeServerSimulator(
+                make_policy("adapex", lib), workload,
+                config=ServerConfig(sim_mode=mode, **cfg), seed=seed,
+                faults=faults, fault_seed=fault_seed)
+
+        fast = fastsim.run_fast(sim("vector"))
+        assert fast is not None
+        assert_identical(fast, sim("event").run())
+
+
+class TestFallback:
     def test_event_mode_forces_oracle(self, monkeypatch):
         """sim_mode='event' never consults the fast path."""
         def boom(sim):  # pragma: no cover - must not be called
@@ -196,11 +248,40 @@ class TestFallback:
         assert_identical(auto, event)
 
 
+    def test_retry_on_tick_falls_back(self):
+        """A reconfiguration retry landing exactly on a decision tick
+        is a tie as well: 0.25 s dead time plus 0.25 s backoff after a
+        failed attempt on a tick is the next tick of a 0.5 s train."""
+        import numpy as np
+
+        class Burst:
+            duration_s = 2.0
+            nominal_ips = 10.0  # deploy slow, then switch under load
+
+            def arrival_times(self, seed):
+                return np.arange(0.0005, 2.0, 0.001)
+
+        def sim(mode, backoff):
+            return EdgeServerSimulator(
+                make_policy("adapex", build_library()), Burst(),
+                config=ServerConfig(sim_mode=mode, decision_interval_s=0.5,
+                                    reconfig_time_s=0.25),
+                seed=0, faults=FaultSpec(reconfig_failure_prob=1.0,
+                                         retry_backoff_s=backoff))
+
+        assert fastsim.run_fast(sim("vector", 0.25)) is None
+        assert_identical(sim("auto", 0.25).run(), sim("event", 0.25).run())
+        # Off the tick train the same campaign replays on the fast path.
+        fast = fastsim.run_fast(sim("vector", 0.2))
+        assert fast is not None and fast.reconfig_retries > 0
+        assert_identical(fast, sim("event", 0.2).run())
+
+
 class TestChaos:
     def test_heavy_fault_campaign_matches(self):
         """End-to-end chaos: a --faults heavy campaign produces the same
-        aggregates whatever sim_mode asks for (faults always take the
-        event path, so every mode is the oracle)."""
+        aggregates whatever sim_mode asks for (the fast path replays the
+        fault plan bit-for-bit, so every mode matches the oracle)."""
         lib = build_library()
         faults = FaultSpec.parse("heavy")
         results = {}

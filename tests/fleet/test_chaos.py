@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.edge.cameras import CameraFleet
+from repro.edge.server import EdgeServerSimulator
 from repro.fleet import (FLEET_FAULT_PRESETS, CoordinationError,
                          ElasticConfig, FleetConfig, FleetFaultPlan,
                          FleetFaultSpec, ReconfigCoordinator,
@@ -226,6 +227,47 @@ class TestConservationProperty:
         fleet = result.fleet
         assert fleet.total_requests + fleet.failover_dropped \
             == base + spikes
+
+
+class TestFleetChaosEngines:
+    def test_fleet_chaos_identical_across_engines(self, fleet_library,
+                                                  monkeypatch):
+        """A ``fleet-chaos`` campaign (heavy per-server overlay, rack
+        loss, herd replay, elastic control plane) is field-for-field
+        identical whether every server runs on the event loop or on the
+        fault-replaying fast path."""
+        tenants = chaos_tenants(24)
+        spec = FleetFaultSpec.parse("fleet-chaos,kill_time_s=3.0")
+        ecfg = ElasticConfig(min_servers=2, max_servers=6,
+                             cooldown_s=1.0)
+
+        def campaign(mode):
+            return simulate_fleet(
+                fleet_library, tenants,
+                chaos_config(num_servers=4, rack_size=2, duration_s=8.0,
+                             sim_mode=mode),
+                seed=3, faults=spec, fault_seed=1, elastic=ecfg)
+
+        event = campaign("event")
+
+        def no_event_loop(self):
+            raise AssertionError("server run fell back to the event loop")
+
+        # Every server of the auto campaign must replay on the fast path.
+        monkeypatch.setattr(EdgeServerSimulator, "_run_event",
+                            no_event_loop)
+        auto = campaign("auto")
+        assert auto.fleet == event.fleet
+        assert auto.servers == event.servers
+        assert auto.migrations == event.migrations
+        assert auto.scale_events == event.scale_events
+        assert auto.dead_servers == event.dead_servers
+        assert event.migrations and event.scale_events
+        # The heavy overlay really fired: drops, inference retries and
+        # a retry budget exhausted.
+        assert all(r.metrics.dropped for r in event.servers)
+        assert sum(r.metrics.retries for r in event.servers) > 0
+        assert sum(r.metrics.failed for r in event.servers) > 0
 
 
 class TestFleetChaosPreset:

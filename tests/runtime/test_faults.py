@@ -138,6 +138,47 @@ class TestFaultPlan:
         assert plan.reconfig_outcome(0.0, 0.145) == (False, 0.145)
         assert len(plan.spike_arrivals(10.0, 100.0)) == 0
 
+    @pytest.mark.parametrize("window", [(0.0, None), (3.0, None),
+                                        (2.0, 6.5), (0.0, 0.5)])
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.3, 1.0])
+    def test_drop_mask_matches_sequential_draws(self, window, drop_prob):
+        """The batch decision equals one drop_request per arrival,
+        arrivals outside the active window included, and leaves the
+        plan in the same state (injected counts, later draws)."""
+        spec = FaultSpec(drop_prob=drop_prob, active_from_s=window[0],
+                         active_until_s=window[1])
+        times = np.sort(np.random.default_rng(4).uniform(0.0, 8.0, 300))
+        times = np.concatenate([[window[0]] * 3, times])  # edge + ties
+        times.sort()
+        batch = FaultPlan(spec, seed=(2, 7))
+        serial = FaultPlan(spec, seed=(2, 7))
+        mask = batch.drop_mask(times)
+        expected = [serial.drop_request(float(t)) for t in times]
+        assert mask.dtype == bool
+        assert mask.tolist() == expected
+        assert batch.injected == serial.injected
+        if window[1] is not None:
+            assert not mask[times >= window[1]].any()
+        assert not mask[times < window[0]].any()
+        # Both plans continue from the same stream position.
+        assert [batch.drop_request(4.0) for _ in range(20)] == \
+            [serial.drop_request(4.0) for _ in range(20)]
+
+    def test_drop_mask_of_nothing(self):
+        plan = FaultPlan(FaultSpec(drop_prob=0.5), seed=0)
+        assert plan.drop_mask([]).tolist() == []
+        assert plan.injected["drops"] == 0
+
+    def test_inference_errors_match_active_calls(self):
+        """Block-drawn inference decisions are what successive
+        inference_fails calls inside the active window return."""
+        spec = FaultSpec(inference_error_prob=0.4)
+        block = FaultPlan(spec, seed=5).inference_errors(200)
+        serial = FaultPlan(spec, seed=5)
+        assert block.tolist() == [serial.inference_fails(1.0)
+                                  for _ in range(200)]
+        assert not FaultPlan(FaultSpec(), seed=5).inference_errors(7).any()
+
 
 class TestSelectWithoutReconfig:
     def _library(self):
