@@ -23,11 +23,24 @@ as chunked NumPy work:
   accumulation, bit-identical to the event loop's ``+=`` chain), and
   power integration stays per-tick scalar work exactly as before.
 
-The only irreducibly sequential part — the bounded-queue admission /
-single-server start-time recursion — runs as a slim scalar kernel over
-plain Python floats using the *same* float operations (``max`` and one
-addition per frame) as the event loop, so completions, queue-full
-losses, and end-of-run in-flight frames are decided identically.
+The bounded-queue admission / single-server start-time recursion is a
+**busy-period scan** (:class:`_SerialKernel`): within a busy period the
+completions are a sequential prefix sum seeded with the period's start
+— the event loop's ``max`` and one addition per frame, bit for bit —
+a max-plus closed form finds every period start of a chunk of
+arrivals in one pass (rechecked against the exact chains), queue
+lengths follow from ``searchsorted`` over the start times, and a period
+that turns frames away is finished by an exact integer recursion. So
+completions, queue-full losses, sheds and end-of-run in-flight frames
+are decided identically with no per-frame Python work. Runs with
+transient inference errors or micro-batching keep a per-frame admission
+loop (:class:`_SerialRetryKernel`, :class:`_BatchKernel`).
+
+Boundaries are **lazy** for the scan: without brownout a decision tick
+never reads the queue, so :func:`run_fast` serves the kernel only when a
+tick changes its entry or reconfiguration deadline, at retries and at
+the horizon; the ticks in between are handed to the kernel, which
+checks its completions against them.
 
 Fault campaigns (:mod:`repro.runtime.faults`) replay the run's
 :class:`~repro.runtime.faults.FaultPlan` decision for decision:
@@ -53,8 +66,9 @@ The event loop remains the semantics oracle (the same relationship as
 returns ``None`` whenever it cannot *prove* equivalence and the caller
 falls back to event mode. That is an exact event-time tie on a
 boundary: a completion, service start, or reconfiguration-resume
-landing on a decision tick or retry timestamp, or a retry landing on a
-tick, where the outcome depends on event-loop scheduling order.
+landing on a decision tick (served or not) or retry timestamp, or a
+retry landing on a tick, where the outcome depends on event-loop
+scheduling order.
 
 ``SIM_MODES`` enumerates the ``ServerConfig.sim_mode`` values:
 ``"auto"``/``"vector"`` use this fast path when sound, ``"event"``
@@ -82,6 +96,14 @@ _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
+
+#: Arrivals per step of the serial kernel's scan: bounds its temporary
+#: arrays however long a segment runs.
+_CHUNK = 4096
+
+#: Busy-period positions the scan advances in lockstep across periods;
+#: the few longer periods finish with one cumsum each.
+_LOCKSTEP = 16
 
 
 def _exit_cdf(exit_rates) -> np.ndarray:
@@ -158,13 +180,15 @@ class _Kernel:
     services with start times up to the boundary and returns ``False``
     on an exact event-time tie with it. ``plan`` is the run's fault plan
     (``None`` when fault-free); only its inference errors reach the
-    kernel.
+    kernel. A ``lazy`` kernel may be served across several decision
+    ticks at once: it checks the ticks queued in ``skipped`` for ties.
     """
+
+    lazy = False
 
     def __init__(self, sim, arrivals: np.ndarray, plan):
         cfg = sim.config
         self.arrivals = arrivals
-        self.arr_list = arrivals.tolist()
         self.duration = sim.workload.duration_s
         self.capacity = cfg.queue_capacity
         self.shed_len = cfg.shed_queue_len
@@ -213,6 +237,14 @@ class _Kernel:
         """Frames in service at the horizon (no terminal state)."""
         raise NotImplementedError
 
+    def latency_sum(self) -> float:
+        """Sum of recorded latencies, in completion order."""
+        # cumsum is a sequential left-to-right accumulation,
+        # bit-identical to the event loop's `latency_sum += service`.
+        if not self.latencies:
+            return 0.0
+        return float(np.cumsum(np.asarray(self.latencies))[-1])
+
 
 class _SerialKernel(_Kernel):
     """One frame per accelerator invocation, no inference errors.
@@ -220,8 +252,44 @@ class _SerialKernel(_Kernel):
     The event loop draws one uniform at each service start (the exit
     choice) and one at each completion (the correctness sample),
     strictly alternating in service order; at most ``n`` frames are ever
-    served, so 2n uniforms cover every draw it can consume.
+    served, so 2n uniforms cover every draw it can consume. Frame ``f``
+    of the run (in start order) therefore always reads uniform pair
+    ``f``, whichever arrivals end up admitted — which is what lets
+    :meth:`serve` run the admission recursion as array work.
+
+    Write ``a'`` for ``max(arrival, reconfig_until)``, ``s``/``c`` for a
+    frame's start/completion. Frame ``f`` starts at
+    ``s_f = max(a'_f, c_{f-1})``, opening a *busy period* when
+    ``a'_f > c_{f-1}`` (an *idle* start when its arrival is the
+    maximum) and continuing one otherwise. An arrival sees
+    ``N - K`` queued frames, ``N`` frames admitted before it and ``K``
+    of them started strictly before it (idle starts included, as they
+    start inside their own arrival event), and is refused at
+    ``N - K >= L`` — ``L`` the shedding length on the bottom brownout
+    rung, else the capacity. :meth:`serve` scans a segment's arrivals
+    in chunks of at most ``_CHUNK``:
+
+    * optimistically assuming the chunk admits every arrival, the
+      max-plus closed form ``c_k ~ S_k + max(c_prev, max_{j<=k}(a'_j -
+      S_{j-1}))`` (``S`` the cumsum of service times) locates every
+      busy-period start at once; each period's chain is then recomputed
+      exactly as a sequential prefix sum seeded with its start
+      (:func:`_chain`: the event loop's ``max``/``+`` chain, addition
+      by addition) and every start/continuation is checked against the
+      exact chain — the chunk is cut at the first check that fails;
+    * queue lengths then follow from ``searchsorted`` of the arrival
+      times into the exact start times; the chunk is committed up to
+      the first refused arrival;
+    * the busy period holding that refusal is finished by the integer
+      recursion ``N_{j+1} = min(N_j + 1, L + K_j)`` (arrivals meeting a
+      queue already above ``L`` refused first), solved with
+      ``np.minimum.accumulate``: within a busy period the chain of
+      completions does not depend on which arrivals are admitted. The
+      period ends at the first arrival with ``c_{N_j - 1} < a'_j``,
+      where the optimistic scan resumes.
     """
+
+    lazy = True
 
     def __init__(self, sim, arrivals, plan):
         super().__init__(sim, arrivals, plan)
@@ -229,6 +297,10 @@ class _SerialKernel(_Kernel):
         self.u_correct = self.draws[1::2]
         self.qlen = 0     # admitted frames waiting (excludes in-service)
         self.started = 0  # frames started == RNG pairs consumed
+        self.lat_sum = 0.0
+        # Decision ticks passed since the last serve call: a completion
+        # landing exactly on one is an event-order tie.
+        self.skipped: list = []
 
     def queued(self) -> int:
         return self.qlen
@@ -236,109 +308,228 @@ class _SerialKernel(_Kernel):
     def in_flight(self) -> int:
         return 1 if self.c_last > self.duration else 0
 
+    def latency_sum(self) -> float:
+        return self.lat_sum
+
     def serve(self, t_end: float, is_tick: bool) -> bool:
-        entry = self.entry
-        arr_list = self.arr_list
-        duration = self.duration
-        capacity = self.capacity
-        shedding = self.shedding
-        shed_len = self.shed_len
-        reconfig_until = self.reconfig_until
-        served_latencies = self.latencies
-        qlen = self.qlen
-        ai = self.ai
+        arrivals = self.arrivals
+        j = self.ai
+        hi = int(np.searchsorted(arrivals, t_end, side="right"))
         c_last = self.c_last
-        started = self.started
+        # A completion exactly on a tick — skipped or this boundary — is
+        # an event-order tie; any start on the boundary other than an
+        # idle one then comes from that completion (or from a resume
+        # the caller declines), so starts up to t_end inclusive are safe.
+        ties = self.skipped + [t_end] if is_tick else self.skipped
+        self.skipped = []
+        if c_last in ties:
+            return False
+        ticks = np.asarray(ties) if ties else None
+        q = self.qlen
+        if not q and j == hi:
+            return True
+        duration = self.duration
+        reconfig_until = self.reconfig_until
+        limit = self.shed_len if self.shedding else self.capacity
+        entry = self.entry
+        accuracy = entry.accuracy
+        base = self.started
+        u_choice = self.u_choice
+        u_correct = self.u_correct
+        cdf = _exit_cdf(entry.exit_rates)
+        if entry.exit_latencies_s:
+            lat = np.asarray(entry.exit_latencies_s, dtype=np.float64)
+        else:
+            lat = None
+            const = entry.latency_s
+
+        def services(f0: int, f1: int) -> np.ndarray:
+            """Service times of segment frames ``f0..f1-1`` (position-
+            indexed uniforms: recomputing a frame is side-effect free)."""
+            if lat is None:
+                return np.full(f1 - f0, const)
+            return lat[cdf.searchsorted(u_choice[base + f0:base + f1],
+                                        side="right")]
+
+        started = 0       # segment frames started
         processed = self.processed
         correct = self.correct
-        lost = 0
-        shed = 0
-        hi = int(np.searchsorted(self.arrivals, t_end, side="right"))
+        lat_sum = self.lat_sum
 
-        # Batch-sample exits / services / correctness for every frame
-        # that could start in this segment (current queue + new
-        # arrivals). Unused tail entries are recomputed by the next
-        # segment with its own entry; the underlying uniforms are
-        # position-indexed, so overcomputation has no RNG side effects.
-        base = started
-        m = qlen + (hi - ai)
-        services: list = []
-        hits: list = []
-        if m > 0:
-            uc = self.u_choice[base:base + m]
-            if entry.exit_latencies_s:
-                idx = _exit_cdf(entry.exit_rates).searchsorted(
-                    uc, side="right")
-                services = np.asarray(entry.exit_latencies_s,
-                                      dtype=np.float64)[idx].tolist()
-            else:
-                _exit_cdf(entry.exit_rates)  # same validation as choice
-                services = [entry.latency_s] * m
-            hits = (self.u_correct[base:base + m] < entry.accuracy).tolist()
+        def commit(f0: int, s, c, x) -> bool:
+            """Account frames ``f0..`` (exact ``s``/``c``) that start by
+            the boundary; ``False`` on a tick tie."""
+            nonlocal started, processed, correct, lat_sum, c_last
+            # Starts are sorted across blocks: once one frame stays
+            # queued, every later block starts nothing.
+            k = int(np.searchsorted(s, t_end, side="right"))
+            if not k:
+                return True
+            started += k
+            cs = c[:k]
+            c_last = float(cs[-1])
+            # Completion events at or before the horizon always fire; a
+            # later one leaves its frame in flight (exit draw consumed).
+            done = int(np.searchsorted(cs, duration, side="right"))
+            if done:
+                processed += done
+                lat_sum = float(np.cumsum(
+                    np.concatenate(([lat_sum], x[:done])))[-1])
+                lo = base + f0
+                correct += int(np.count_nonzero(
+                    u_correct[lo:lo + done] < accuracy))
+            if ticks is not None:
+                pos = np.searchsorted(cs, ticks)
+                inside = pos < k
+                if np.any(cs[pos[inside]] == ticks[inside]):
+                    return False
+            return True
 
-        def start_frame(sigma: float) -> None:
-            """Start one service at time ``sigma`` (one RNG pair)."""
-            nonlocal c_last, started, processed, correct
-            service = services[started - base]
-            hit = hits[started - base]
-            started += 1
-            c_last = sigma + service
-            if c_last <= duration:
-                # Completion events at or before the horizon always fire.
-                processed += 1
-                served_latencies.append(service)
-                if hit:
-                    correct += 1
-            # else: in flight at the end of the run — the exit draw was
-            # consumed at the start but the frame reaches no terminal
-            # state, exactly like the event loop's still-busy server.
-
-        while ai < hi:
-            t_arr = arr_list[ai]
-            ai += 1
-            # Queued frames whose service begins strictly before this
-            # arrival have left the queue by the time it is admitted
-            # (starts *at* t_arr are triggered by completion events that
-            # fire after the arrival event — still waiting).
-            while qlen:
-                sigma = c_last if c_last >= reconfig_until \
-                    else reconfig_until
-                if sigma >= t_arr:
-                    break
-                qlen -= 1
-                start_frame(sigma)
-            if shedding and qlen >= shed_len:
-                shed += 1  # bottom-rung admission control
-            elif qlen >= capacity:
-                lost += 1
-            elif qlen == 0 and c_last < t_arr \
-                    and reconfig_until <= t_arr:
-                start_frame(t_arr)  # idle, unblocked: serve immediately
-            else:
-                qlen += 1
-        # Services starting up to the segment boundary. At a tick or
-        # retry, a start exactly *on* the boundary comes from a
-        # completion/resume event tied with the boundary event; at the
-        # run horizon every event <= duration fires, so the boundary is
-        # inclusive.
-        while qlen:
+        refused = 0
+        frames = q        # segment frames admitted (carried queue first)
+        c_prev = c_last   # completion of the last admitted frame
+        k0 = 0            # frames counted as started by every later arrival
+        tail_s = np.empty(0)              # starts of frames k0..frames-1
+        tail_idle = np.zeros(0, dtype=bool)
+        if q:
+            # The carried queue continues one chain from the first start.
             sigma = c_last if c_last >= reconfig_until else reconfig_until
-            if sigma > t_end or (is_tick and sigma == t_end):
-                break
-            qlen -= 1
-            start_frame(sigma)
-        if is_tick and qlen and sigma == t_end:
-            return False  # tie: start ordering depends on event seqs
+            x = services(0, q)
+            c = x.copy()
+            c[0] += sigma
+            np.cumsum(c, out=c)
+            tail_s = np.concatenate(([sigma], c[:-1]))
+            tail_idle = np.zeros(q, dtype=bool)
+            if not commit(0, tail_s, c, x):
+                return False
+            c_prev = float(c[-1])
 
-        self.qlen = qlen
-        self.ai = ai
+        refusing = False
+        while j < hi:
+            t = arrivals[j:min(hi, j + _CHUNK)]
+            w = len(t)
+            x = services(frames, frames + w)
+            if refusing:
+                # Inside a busy period holding a refusal: the chain of
+                # the next w frames is fixed whichever arrivals join.
+                c = x.copy()
+                c[0] += c_prev
+                np.cumsum(c, out=c)
+                s = np.concatenate(([c_prev], c[:-1]))
+                idle = np.zeros(w, dtype=bool)
+                s_all = np.concatenate((tail_s, s))
+                idle_all = np.concatenate((tail_idle, idle))
+                kk = k0 + _started_before(s_all, idle_all, t)
+                n = np.full(w + 1, frames)
+                # Arrivals meeting a queue at or above the limit (it
+                # can start above it when shedding switches on) are
+                # refused until enough frames have started.
+                p = int(np.searchsorted(kk, frames - limit, side="right"))
+                if p < w:
+                    d = kk[p:] + (limit - 1) - np.arange(w - p)
+                    n[p:] = np.minimum.accumulate(
+                        np.concatenate(([frames], d))) \
+                        + np.arange(w - p + 1)
+                ends = np.concatenate(([c_prev], c))[n[:w] - frames] < t
+                used = int(np.argmax(ends)) if ends.any() else w
+                admitted = int(n[used]) - frames
+                refused += used - admitted
+                # Past the period's end the server has idled: every
+                # admitted frame started, and the optimistic scan resumes.
+                refusing = used == w
+                k_last = int(kk[-1]) if refusing else frames + admitted
+            else:
+                # Optimistic: every arrival of the chunk admitted.
+                a = np.maximum(t, reconfig_until)
+                cums = np.cumsum(x)
+                d = a.copy()
+                d[1:] -= cums[:-1]
+                run_max = np.maximum.accumulate(d)
+                prev = np.empty(w)
+                prev[0] = c_prev
+                np.maximum(run_max[:-1], c_prev, out=prev[1:])
+                head = d > prev  # approximate busy-period starts
+                c = x.copy()
+                c[head] += a[head]
+                if not head[0]:
+                    c[0] += c_prev
+                bounds = np.flatnonzero(head)
+                if not head[0]:
+                    bounds = np.concatenate(([0], bounds))
+                _chain(c, bounds, np.diff(np.append(bounds, w)))
+                prev[1:] = c[:-1]  # exact now: check every classification
+                bad = (a > prev) != head
+                if bad.any():
+                    w = int(np.argmax(bad))  # >= 1: frame 0 is exact
+                    t, a, x, c, prev, head = (
+                        t[:w], a[:w], x[:w], c[:w], prev[:w], head[:w])
+                s = np.where(head, a, prev)
+                idle = head & (t >= reconfig_until)
+                s_all = np.concatenate((tail_s, s))
+                idle_all = np.concatenate((tail_idle, idle))
+                kk = k0 + _started_before(s_all, idle_all, t)
+                over = (frames + np.arange(w)) - kk >= limit
+                used = admitted = int(np.argmax(over)) if over.any() else w
+                refusing = used < w
+                k_last = int(kk[used - 1]) if used else k0
+            if not commit(frames, s[:admitted], c[:admitted],
+                          x[:admitted]):
+                return False
+            if admitted:
+                c_prev = float(c[admitted - 1])
+            # Frames k_last.. may still start after the next arrival.
+            keep = slice(k_last - k0, frames + admitted - k0)
+            tail_s = s_all[keep]
+            tail_idle = idle_all[keep]
+            k0 = k_last
+            frames += admitted
+            j += used
+
+        self.qlen = frames - started
+        self.ai = j
         self.c_last = c_last
-        self.started = started
+        self.started = base + started
         self.processed = processed
         self.correct = correct
-        self.lost += lost
-        self.shed += shed
+        self.lat_sum = lat_sum
+        if self.shedding:
+            self.shed += refused
+        else:
+            self.lost += refused
         return True
+
+
+def _chain(c, heads, lengths) -> None:
+    """Turn ``c`` into completion times, in place: each busy period
+    ``heads[i]:heads[i] + lengths[i]`` holds its first completion then
+    its service times, and becomes their sequential prefix sums (the
+    event loop's ``+=`` chain, addition by addition)."""
+    more = lengths > 1
+    heads, lengths = heads[more], lengths[more]
+    k = 1
+    while len(heads) and k < _LOCKSTEP:
+        # Position k of every period still running, all at once.
+        at = heads + k
+        c[at] += c[at - 1]
+        k += 1
+        more = lengths > k
+        heads, lengths = heads[more], lengths[more]
+    for h, n in zip(heads.tolist(), lengths.tolist()):
+        rest = c[h + k - 1:h + n]
+        rest.cumsum(out=rest)
+
+
+def _started_before(s_all, idle_all, t) -> np.ndarray:
+    """Per arrival time, how many of the frames with (sorted) start times
+    ``s_all`` it finds started: those starting strictly before it, plus
+    an idle start at the same instant, whose own arrival event fired
+    first. An arrival's own idle start counts too: it then finds -1
+    frames queued instead of 0, the same admission."""
+    p = np.searchsorted(s_all, t, side="left")
+    if len(s_all):
+        at = np.minimum(p, len(s_all) - 1)
+        p = p + ((s_all[at] == t) & idle_all[at] & (p < len(s_all)))
+    return p
 
 
 class _SerialRetryKernel(_Kernel):
@@ -354,6 +545,7 @@ class _SerialRetryKernel(_Kernel):
 
     def __init__(self, sim, arrivals, plan):
         super().__init__(sim, arrivals, plan)
+        self.arr_list = arrivals.tolist()
         self.draw_list = self.draws.tolist()
         self.p = 0          # next unconsumed position in the main stream
         self.qlen = 0
@@ -523,6 +715,7 @@ class _BatchKernel(_Kernel):
     def __init__(self, sim, arrivals, plan):
         super().__init__(sim, arrivals, plan)
         cfg = sim.config
+        self.arr_list = arrivals.tolist()
         self.batch_window = cfg.batch_window_s
         self.overhead = cfg.dispatch_overhead_s
         self.pend: deque = deque()  # queued frames
@@ -763,7 +956,6 @@ def run_fast(sim):
     else:
         kernel_cls = _SerialKernel
     kernel = kernel_cls(sim, arrivals, plan)
-    arr_list = kernel.arr_list
 
     monitor = WorkloadMonitor(window_s=cfg.monitor_window_s)
     controller = ReconfigurationController(
@@ -792,6 +984,10 @@ def run_fast(sim):
     select_at = getattr(policy, "select_at", None)
     base_floor = getattr(policy, "min_accuracy", None)
     ladder = brownout and select_at is not None and base_floor is not None
+    # Without brownout a decision never reads the queue, so a lazy
+    # kernel is only served when the tick changes what it serves with
+    # (entry, reconfig_until) — and at retries and the horizon.
+    lazy = kernel.lazy and not brownout
     rung = 0
     brownout_steps = 0
     brownout_time_s = 0.0
@@ -817,13 +1013,15 @@ def run_fast(sim):
             break
         else:
             return None  # a retry landing on a tick: order-dependent
-        if not kernel.serve(boundary, is_tick=True):
+        # A completion or reconfiguration-resume landing exactly on the
+        # boundary: whether it precedes the boundary event depends on
+        # event scheduling order. Let the oracle decide.
+        if kernel.reconfig_until == boundary:
             return None
-        if kernel.c_last == boundary or kernel.reconfig_until == boundary:
-            # A completion or reconfiguration-resume lands exactly on
-            # the boundary: whether it precedes the boundary event
-            # depends on event scheduling order. Let the oracle decide.
-            return None
+        if not lazy or is_retry:
+            if not kernel.serve(boundary, is_tick=True) \
+                    or kernel.c_last == boundary:
+                return None
         if is_retry:
             entry = replay.retry(entry, kernel)
             kernel.set_entry(entry)
@@ -832,7 +1030,7 @@ def run_fast(sim):
         ti += 1
         hi = int(np.searchsorted(arrivals, tick, side="right"))
         if hi > fed:
-            monitor.observe_many(arr_list[fed:hi])
+            monitor.observe_many(arrivals[fed:hi])
             fed = hi
         ips = monitor.sampled_ips(tick)
         dt = tick - last_power_t
@@ -859,7 +1057,17 @@ def run_fast(sim):
                 base_floor - brown_levels[rung - 1], ips, current=entry)
         else:
             selected = policy.select(ips, current=entry)
-        if controller.needs_switch(selected.accelerator):
+        switch = controller.needs_switch(selected.accelerator)
+        if lazy:
+            if switch:
+                changes = replay is None or not replay.inflight
+            else:
+                changes = selected is not entry
+            if not changes:
+                kernel.skipped.append(tick)
+            elif not kernel.serve(tick, is_tick=True):
+                return None
+        if switch:
             if replay is None:
                 dead = controller.switch(selected.accelerator, now_s=tick)
                 kernel.reconfig_until = tick + dead
@@ -881,7 +1089,7 @@ def run_fast(sim):
             trace["accuracy"].append(entry.accuracy)
             trace["serving_ips"].append(entry.serving_ips)
 
-    if not kernel.serve(duration, is_tick=False):  # pragma: no cover
+    if not kernel.serve(duration, is_tick=False):
         return None
     if rung > 0:
         brownout_time_s += duration - brownout_since
@@ -890,19 +1098,13 @@ def run_fast(sim):
     # the monitor must not see them either.
     hi_end = int(np.searchsorted(arrivals, duration, side="right"))
     if hi_end > fed:
-        monitor.observe_many(arr_list[fed:hi_end])
+        monitor.observe_many(arrivals[fed:hi_end])
     final_ips = monitor.sampled_ips(duration)
     dt = duration - last_power_t
     if dt > 0:
         energy_j += entry.power_at(final_ips) * dt
 
-    # cumsum is a sequential left-to-right accumulation, bit-identical
-    # to the event loop's `latency_sum += service` chain.
-    latencies = kernel.latencies
-    if latencies:
-        latency_sum = float(np.cumsum(np.asarray(latencies))[-1])
-    else:
-        latency_sum = 0.0
+    latency_sum = kernel.latency_sum()
     processed = kernel.processed
 
     post = controller.events[initial_events:]

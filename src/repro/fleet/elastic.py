@@ -386,6 +386,14 @@ def plan_elastic(cfg, ecfg: ElasticConfig, tenants, arrivals, assignment,
                 ewma[dst] = proj_load(dst, w)
 
     num_ticks = int(math.floor(duration / interval))
+    # Offered load per tenant per tick: ticks sit on the grid
+    # t = k * interval, so every tenant's window counts over
+    # (t - interval, t] come from one searchsorted pair over the grid.
+    grid = np.arange(1, num_ticks + 1) * interval
+    window_counts = {
+        tid: (np.searchsorted(arr, grid, side="right")
+              - np.searchsorted(arr, grid - interval, side="right")).tolist()
+        for tid, arr in arrivals.items()}
     for k in range(1, num_ticks + 1):
         t = k * interval
         if t >= duration:
@@ -426,10 +434,7 @@ def plan_elastic(cfg, ecfg: ElasticConfig, tenants, arrivals, assignment,
             sid = home[tid]
             if sid is None or sid not in window_load:
                 continue
-            arr = arrivals[tid]
-            lo = int(np.searchsorted(arr, t - interval, side="right"))
-            hi = int(np.searchsorted(arr, t, side="right"))
-            window_load[sid] += (hi - lo) / interval
+            window_load[sid] += window_counts[tid][k - 1] / interval
         samples = []
         for sid in sorted(active):
             cap = capacity_ips[sid]

@@ -5,15 +5,22 @@ incoming inferences" that flag workload changes. The monitor keeps a
 sliding window of arrival timestamps, reports the sampled incoming IPS,
 and raises a change flag when the rate moves by more than a configurable
 relative threshold since the last acknowledged level.
+
+Arrivals are stored in one sorted ``float64`` buffer whose live window is
+``[lo, hi)``: recording appends at ``hi`` and expiring old arrivals moves
+``lo`` with one binary search, so each trim costs O(log n) instead of one
+pop per expired arrival. The buffer compacts (or grows) only when it is
+full, which keeps retained storage proportional to the window.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 __all__ = ["WorkloadMonitor"]
+
+#: Initial buffer length; it doubles past the live window when full.
+_MIN_BUFFER = 64
 
 
 class WorkloadMonitor:
@@ -26,14 +33,27 @@ class WorkloadMonitor:
             raise ValueError("change_threshold must be >= 0")
         self.window_s = window_s
         self.change_threshold = change_threshold
-        self._arrivals: deque = deque()
+        self._times = np.empty(_MIN_BUFFER)
+        self._lo = 0
+        self._hi = 0
+        # The latest arrival ever recorded: the ordering check must hold
+        # even after the window has expired every stored arrival.
+        self._last = -np.inf
         self._acknowledged_ips: float | None = None
+
+    @property
+    def window(self) -> np.ndarray:
+        """Arrivals retained by the last trim, oldest first (a copy)."""
+        return self._times[self._lo:self._hi].copy()
 
     def record_arrival(self, t: float) -> None:
         """Register one inference request at time ``t`` (seconds)."""
-        if self._arrivals and t < self._arrivals[-1]:
+        if t < self._last:
             raise ValueError("arrivals must be recorded in time order")
-        self._arrivals.append(t)
+        self._reserve(1)
+        self._times[self._hi] = t
+        self._hi += 1
+        self._last = t
         self._trim(t)
 
     def observe_many(self, times) -> None:
@@ -49,25 +69,44 @@ class WorkloadMonitor:
         batch = np.asarray(times, dtype=np.float64)
         if batch.ndim != 1:
             raise ValueError("times must be a 1-D sequence")
-        if batch.size == 0:
+        n = batch.size
+        if n == 0:
             return
-        if batch.size > 1 and bool(np.any(np.diff(batch) < 0)):
+        if n > 1 and bool(np.any(batch[1:] < batch[:-1])):
             raise ValueError("arrivals must be recorded in time order")
-        first = float(batch[0])
-        if self._arrivals and first < self._arrivals[-1]:
+        if batch[0] < self._last:
             raise ValueError("arrivals must be recorded in time order")
-        self._arrivals.extend(batch.tolist())
-        self._trim(float(batch[-1]))
+        self._reserve(n)
+        self._times[self._hi:self._hi + n] = batch
+        self._hi += n
+        self._last = float(batch[-1])
+        self._trim(self._last)
+
+    def _reserve(self, n: int) -> None:
+        """Make room for ``n`` more arrivals after ``hi``."""
+        if self._hi + n <= self._times.size:
+            return
+        live = self._hi - self._lo
+        need = live + n
+        buf = self._times
+        if 2 * need > buf.size:
+            buf = np.empty(max(2 * need, _MIN_BUFFER))
+        buf[:live] = self._times[self._lo:self._hi]
+        self._times = buf
+        self._lo = 0
+        self._hi = live
 
     def _trim(self, now: float) -> None:
         cutoff = now - self.window_s
-        while self._arrivals and self._arrivals[0] <= cutoff:
-            self._arrivals.popleft()
+        lo = self._lo
+        if lo < self._hi and self._times[lo] <= cutoff:
+            self._lo = lo + int(np.searchsorted(
+                self._times[lo:self._hi], cutoff, side="right"))
 
     def sampled_ips(self, now: float) -> float:
         """Arrival rate over the trailing window."""
         self._trim(now)
-        return len(self._arrivals) / self.window_s
+        return (self._hi - self._lo) / self.window_s
 
     def change_flagged(self, now: float) -> bool:
         """True when the rate drifted beyond the threshold since the last
@@ -85,5 +124,8 @@ class WorkloadMonitor:
         return self._acknowledged_ips
 
     def reset(self) -> None:
-        self._arrivals.clear()
+        self._times = np.empty(_MIN_BUFFER)
+        self._lo = 0
+        self._hi = 0
+        self._last = -np.inf
         self._acknowledged_ips = None

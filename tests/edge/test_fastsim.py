@@ -277,6 +277,230 @@ class TestFallback:
         assert_identical(fast, sim("event", 0.2).run())
 
 
+#: Grid step of the tie-heavy scenarios: arrivals, exit latencies and
+#: reconfiguration resumes are all multiples of it, so every sum the
+#: simulators form is exact and coincidences are exact float ties.
+GRID = 1.0 / 256
+
+
+def grid_library() -> Library:
+    """Three accelerators with grid-valued exit latencies; the faster
+    ones trade accuracy so load shifts and brownout both reconfigure."""
+    lib = Library(metadata={"dataset": "grid"})
+    for rate, acc, ips, lats in ((0.0, 0.90, 120.0, (4, 6, 8)),
+                                 (0.4, 0.86, 200.0, (2, 4, 6)),
+                                 (0.8, 0.80, 320.0, (1, 2, 3))):
+        lib.add(_entry(rate=rate, ct=0.5, acc=acc, ips=ips,
+                       exit_lats=tuple(k * GRID for k in lats)))
+    return lib
+
+
+class GridTrace:
+    """Arrivals on the grid; zero gaps make simultaneous arrivals."""
+
+    def __init__(self, gaps, duration_s):
+        self.gaps = gaps
+        self.duration_s = duration_s
+        self.nominal_ips = 150.0
+
+    def arrival_times(self, seed):
+        import numpy as np
+        return np.cumsum(np.asarray(self.gaps, dtype=np.float64)) * GRID
+
+
+class TestTieHeavy:
+    def test_grid_campaigns_match_event_loop(self):
+        """Overloaded, tie-dense runs: when the fast path accepts a run
+        it matches the event loop exactly, and it accepts most runs —
+        arrival/completion/resume ties are replayed, not declined."""
+        engaged = []
+
+        @settings(max_examples=80, deadline=None, database=None)
+        @given(
+            gaps=st.lists(st.integers(0, 3), min_size=150, max_size=600),
+            capacity=st.integers(1, 3),
+            # Off the grid by half a step, ticks never meet a grid
+            # completion, but a resume (tick + dead) lands on the grid;
+            # on the grid, completions tie with ticks as well.
+            offset=st.sampled_from([GRID / 2, GRID / 2, GRID / 2, 0.0]),
+            interval=st.sampled_from([0.25, 0.5]),
+            brownout=st.booleans(),
+            seed=st.integers(0, 2**16),
+        )
+        def check(gaps, capacity, offset, interval, brownout, seed):
+            cfg = dict(queue_capacity=capacity, decision_interval_s=interval,
+                       decision_offset_s=offset,
+                       reconfig_time_s=32 * GRID - offset)
+            if brownout:
+                # Shedding starts on the bottom rung with the queue
+                # possibly above the shed length (1 or 2 frames).
+                cfg.update(brownout_levels=(0.08,), brownout_high=0.6,
+                           brownout_low=0.2, brownout_shed_occupancy=0.34)
+            trace = GridTrace(gaps, duration_s=(sum(gaps) + 64) * GRID)
+
+            def sim(mode):
+                return EdgeServerSimulator(
+                    make_policy("adapex", grid_library()),
+                    trace, config=ServerConfig(sim_mode=mode, **cfg),
+                    seed=seed)
+
+            fast = fastsim.run_fast(sim("vector"))
+            engaged.append(fast is not None)
+            if fast is not None:
+                assert_identical(fast, sim("event").run())
+
+        check()
+        assert sum(engaged) > len(engaged) / 2
+
+    @pytest.mark.parametrize("capacity,copies", [(64, 1), (1, 2)])
+    def test_float_near_ties_match_scalar_recursion(self, capacity, copies):
+        """Arrivals at, one ulp before or one ulp after the completion of
+        the frame before, under a non-dyadic service time: the closed
+        form's rounded cumsum misplaces busy-period starts, so the scan
+        only stays exact through its recheck against the exact chain.
+        The kernel's state must equal the per-arrival recursion's, and
+        the whole run the event loop's."""
+        import numpy as np
+
+        service = 0.001
+        lib = Library(metadata={"dataset": "ulp"})
+        lib.add(_entry(rate=0.0, ct=0.5, acc=0.9, ips=1000.0,
+                       exit_lats=(service,) * 3))
+        rng = np.random.default_rng(0)
+        times, c = [], 0.1
+        for k in range(2000):
+            # The second half never idles (no arrival after the previous
+            # completion), so one misplaced start shifts every later
+            # completion, the last one included.
+            t = float(np.nextafter(c, [c, -np.inf, np.inf][
+                rng.integers(0, 3 if k < 1000 else 2)]))
+            times += [t] * copies
+            c = max(t, c) + service
+
+        class Trace:
+            duration_s = 3.0
+            nominal_ips = 500.0
+
+            def arrival_times(self, seed):
+                return np.array(times)
+
+        def sim(mode):
+            return EdgeServerSimulator(
+                make_policy("adapex", lib), Trace(),
+                config=ServerConfig(sim_mode=mode, queue_capacity=capacity,
+                                    decision_offset_s=0.0123), seed=0)
+
+        # The per-arrival admission recursion, one segment, no
+        # reconfiguration: the scan must reproduce it bit for bit.
+        c_last, qlen, started, lost = float("-inf"), 0, 0, 0
+        for t in times:
+            while qlen and c_last < t:
+                qlen, started, c_last = qlen - 1, started + 1, c_last + service
+            if qlen >= capacity:
+                lost += 1
+            elif qlen == 0 and c_last < t:
+                started, c_last = started + 1, t + service
+            else:
+                qlen += 1
+        while qlen:
+            qlen, started, c_last = qlen - 1, started + 1, c_last + service
+
+        kernel = fastsim._SerialKernel(sim("vector"), np.array(times), None)
+        kernel.set_entry(lib.entries[0])
+        assert kernel.serve(Trace.duration_s, is_tick=False)
+        assert (kernel.c_last, kernel.qlen, kernel.started, kernel.lost) \
+            == (c_last, 0, started, lost)
+
+        fast = fastsim.run_fast(sim("vector"))
+        assert fast is not None
+        assert_identical(fast, sim("event").run())
+
+    def test_shedding_starts_above_the_shed_length(self):
+        """Shedding switches on with three frames queued and a shed
+        length of two: arrivals are shed until enough frames start, even
+        when two of them start between one arrival and the next."""
+        import numpy as np
+
+        lib = Library(metadata={"dataset": "shed"})
+        lib.add(_entry(rate=0.0, ct=0.5, acc=0.9, ips=100.0,
+                       exit_lats=(0.01, 0.01, 0.01)))
+        times = np.array([0.0, 0.001, 0.002, 0.003, 0.006, 0.0255])
+        sim = EdgeServerSimulator(
+            make_policy("adapex", lib), WorkloadSpec(duration_s=1.0),
+            config=ServerConfig(queue_capacity=3, brownout_levels=(0.05,),
+                                brownout_shed_occupancy=0.5))
+        kernel = fastsim._SerialKernel(sim, times, None)
+        kernel.set_entry(lib.entries[0])
+        assert kernel.serve(0.005, is_tick=True)
+        assert (kernel.queued(), kernel.c_last) == (3, 0.01)
+        kernel.shedding = True
+        assert kernel.serve(1.0, is_tick=False)
+        # 0.006 meets 3 >= 2 queued; by 0.0255 the frames queued at 0.01
+        # and 0.02 have started, leaving 1.
+        assert (kernel.shed, kernel.lost, kernel.started) == (1, 0, 5)
+
+    def test_carried_completion_on_skipped_tick(self):
+        """A frame started before one served boundary and completing on
+        a later, skipped tick is a tie too."""
+        import numpy as np
+
+        lib = Library(metadata={"dataset": "tie"})
+        lib.add(_entry(rate=0.0, ct=0.5, acc=0.9, ips=100.0,
+                       exit_lats=(0.25, 0.25, 0.25)))
+
+        class Trace:
+            duration_s = 1.0
+            nominal_ips = 20.0
+
+            def arrival_times(self, seed):
+                return np.array([0.125, 0.5])
+
+        def served(skipped):
+            sim = EdgeServerSimulator(make_policy("adapex", lib), Trace())
+            kernel = fastsim._SerialKernel(sim, Trace().arrival_times(0),
+                                           None)
+            kernel.set_entry(lib.entries[0])
+            assert kernel.serve(0.25, is_tick=True)
+            kernel.skipped.append(skipped)
+            return kernel.serve(1.0, is_tick=False)
+
+        assert not served(0.375)  # frame 0 completes at 0.375
+        assert served(0.4375)
+
+    def test_completion_on_skipped_tick_falls_back(self):
+        """With a single entry every tick leaves the kernel's inputs
+        unchanged, so no tick serves it — yet a completion landing on
+        one (0.3 + 0.2 = 0.5) is still a tie the fast path declines."""
+        lib = Library(metadata={"dataset": "tie"})
+        lib.add(_entry(rate=0.0, ct=0.5, acc=0.9, ips=100.0,
+                       exit_lats=(0.25, 0.25, 0.25)))
+
+        class Trace:
+            duration_s = 1.0
+            nominal_ips = 20.0
+
+            def __init__(self, second):
+                self.second = second
+
+            def arrival_times(self, seed):
+                import numpy as np
+                return np.array([0.0, self.second])
+
+        def sim(mode, second):
+            return EdgeServerSimulator(
+                make_policy("adapex", lib), Trace(second),
+                config=ServerConfig(sim_mode=mode, decision_interval_s=0.25,
+                                    decision_offset_s=0.125), seed=0)
+
+        # Frame 0 completes at 0.25 (off the 0.375 + k/4 tick train);
+        # frame 1 completes at second + 0.25.
+        assert fastsim.run_fast(sim("vector", 0.375)) is None
+        assert_identical(sim("auto", 0.375).run(), sim("event", 0.375).run())
+        fast = fastsim.run_fast(sim("vector", 0.3))
+        assert fast is not None and fast.processed == 2
+        assert_identical(fast, sim("event", 0.3).run())
+
+
 class TestChaos:
     def test_heavy_fault_campaign_matches(self):
         """End-to-end chaos: a --faults heavy campaign produces the same
