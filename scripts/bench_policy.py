@@ -18,8 +18,9 @@ bonuses are actually exercised):
 3. **Campaign bit-identity** — with batching and partial reconfig off,
    a ``simulate_policy`` campaign driven by a table-compiled manager is
    bit-identical (every ``RunMetrics`` field, every trace array) to the
-   index-driven campaign, in both simulation engines; and the
-   micro-batched fast path is bit-identical to the batched event loop.
+   index-driven campaign, in both simulation engines; and a
+   micro-batched campaign under ``sim_mode="auto"`` (which hands batched
+   runs to the event loop) is bit-identical to the batched event loop.
 
 Writes ``BENCH_policy.json`` (default: this directory; ``--out`` to
 redirect) with timings and every check's verdict, and exits non-zero if
@@ -230,24 +231,23 @@ def main(argv=None) -> int:
     report["campaign_event_table_s"] = time.perf_counter() - t0
     check("campaign_identical_table_event", table_event == plain_event)
     check("campaign_identical_table_vector",
-          campaign(True, sim_mode="vector") == plain_event)
+          campaign(True, sim_mode="auto") == plain_event)
 
-    print("campaign bit-identity (micro-batching, event vs vector)...")
+    print("campaign bit-identity (micro-batching, event vs auto)...")
     batched_event = campaign(True, sim_mode="event", batch_window_s=0.02,
                              dispatch_overhead_s=0.002)
-    batched_vector = campaign(True, sim_mode="vector",
-                              batch_window_s=0.02,
-                              dispatch_overhead_s=0.002)
+    batched_auto = campaign(True, sim_mode="auto", batch_window_s=0.02,
+                            dispatch_overhead_s=0.002)
     check("campaign_batched_engines_identical",
-          batched_event == batched_vector)
+          batched_event == batched_auto)
     check("campaign_batching_changes_accounting",
           batched_event != plain_event)
 
-    print("campaign bit-identity (partial reconfig, event vs vector)...")
+    print("campaign bit-identity (partial reconfig, event vs auto)...")
     pr = PartialReconfigModel()
     check("campaign_partial_engines_identical",
           campaign(True, sim_mode="event", partial_reconfig=pr)
-          == campaign(True, sim_mode="vector", partial_reconfig=pr))
+          == campaign(True, sim_mode="auto", partial_reconfig=pr))
 
     # ------------------------------------------------------------------
     # report

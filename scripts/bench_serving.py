@@ -5,18 +5,19 @@ Measures, on a hand-built library shaped like the quick-profile sweep
 (three pruning rates x three confidence thresholds plus backbones):
 
 1. **Campaign speedup** — ``simulate_policy`` campaigns with
-   ``sim_mode="vector"`` vs ``sim_mode="event"``: fault-free, under
-   the ``light`` and ``heavy`` fault presets (which the fast path
-   replays from the run's fault plan), and overloaded — offered load
-   ~1.7x what the fastest entry serves, so the queue saturates and the
-   fast path's refusal recursion runs (the campaign must lose frames).
+   ``sim_mode="auto"`` (the fast path) vs ``sim_mode="event"``:
+   fault-free, under the ``light`` and ``heavy`` fault presets (which
+   the fast path replays from the run's fault plan), and overloaded —
+   offered load ~1.7x what the fastest entry serves, so the queue
+   saturates and the fast path's refusal recursion runs (the campaign
+   must lose frames).
    Each pair must produce **bit-identical** ``RunMetrics`` (every
    field, every trace array) and the fast path must be at least
    ``REPRO_BENCH_MIN_SERVING_SPEEDUP`` (default 10) times faster on
    each.
 2. **Selection speedup** — ``RuntimeManager.select`` through the
-   throughput-sorted index vs the historical linear
-   ``Library.feasible`` rescan, on a 200-entry library. Same winners on
+   throughput-sorted index vs the historical linear rescan of every
+   library entry, on a 200-entry library. Same winners on
    every query, at least ``REPRO_BENCH_MIN_SELECT_SPEEDUP`` (default 3)
    times faster.
 
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
         event_s, (_, event_runs) = best_of(
             lambda: campaign("event", faults, cameras), args.repeats)
         vector_s, (_, vector_runs) = best_of(
-            lambda: campaign("vector", faults, cameras), args.repeats)
+            lambda: campaign("auto", faults, cameras), args.repeats)
         identical = len(event_runs) == len(vector_runs) and all(
             metrics_key(a) == metrics_key(b)
             for a, b in zip(event_runs, vector_runs))

@@ -94,8 +94,8 @@ class AdaPExConfig:
     compute_dtype: str = "float64"
     # Serving-simulator engine for evaluate_at_edge: "auto" uses the
     # vectorized fast path when provably bit-identical to the event loop
-    # and falls back otherwise; "event"/"vector" force one engine. Not
-    # part of the cache key — both engines produce identical metrics.
+    # and falls back otherwise; "event" forces the event loop. Not part
+    # of the cache key — both engines produce identical metrics.
     sim_mode: str = "auto"
 
     def __post_init__(self):
@@ -113,9 +113,9 @@ class AdaPExConfig:
             raise ValueError(
                 f"compute_dtype must be 'float64' or 'float32', "
                 f"got {self.compute_dtype!r}")
-        if self.sim_mode not in ("auto", "event", "vector"):
+        if self.sim_mode not in ("auto", "event"):
             raise ValueError(
-                f"sim_mode must be one of 'auto', 'event', 'vector', "
+                f"sim_mode must be one of 'auto', 'event', "
                 f"got {self.sim_mode!r}")
         if not self.precisions:
             raise ValueError("need at least one precision")

@@ -32,9 +32,11 @@ arrivals in one pass (rechecked against the exact chains), queue
 lengths follow from ``searchsorted`` over the start times, and a period
 that turns frames away is finished by an exact integer recursion. So
 completions, queue-full losses, sheds and end-of-run in-flight frames
-are decided identically with no per-frame Python work. Runs with
-transient inference errors or micro-batching keep a per-frame admission
-loop (:class:`_SerialRetryKernel`, :class:`_BatchKernel`).
+are decided identically with no per-frame Python work. It is the only
+serving kernel: transient inference errors fold into its chains (a
+retry is one more service term), and micro-batched runs are declined —
+a batch's size depends on the previous completion, which has no exact
+closed-form scan.
 
 Boundaries are **lazy** for the scan: without brownout a decision tick
 never reads the queue, so :func:`run_fast` serves the kernel only when a
@@ -55,30 +57,28 @@ Fault campaigns (:mod:`repro.runtime.faults`) replay the run's
   failed attempt schedules its retry (``now + dead + backoff``) as one
   more segment boundary, and an exhausted budget degrades through
   ``policy.select_without_reconfig``;
-* transient inference errors are decided when a frame starts (its
-  completion time is known then), consuming the inference stream in
-  completion order; a failed frame returns to the queue head at its
-  completion, and the main stream is read through a position pointer
-  because a failed completion draws no correctness uniform.
+* transient inference errors come from one block of the inference
+  stream, consumed in completion order by the attempts completing
+  inside the plan's active window; a failed frame returns to the queue
+  head at its completion, and the main stream's positions are a cumsum
+  over attempt outcomes because a failed completion draws no
+  correctness uniform.
 
 The event loop remains the semantics oracle (the same relationship as
 :mod:`repro.ir.executors` vs :mod:`repro.ir.engine`): ``run_fast``
 returns ``None`` whenever it cannot *prove* equivalence and the caller
 falls back to event mode. That is an exact event-time tie on a
-boundary: a completion, service start, or reconfiguration-resume
-landing on a decision tick (served or not) or retry timestamp, or a
-retry landing on a tick, where the outcome depends on event-loop
-scheduling order.
+boundary: a completion (failed attempts included), service start, or
+reconfiguration-resume landing on a decision tick (served or not) or
+retry timestamp, or a retry landing on a tick, where the outcome
+depends on event-loop scheduling order — or a micro-batched run.
 
 ``SIM_MODES`` enumerates the ``ServerConfig.sim_mode`` values:
-``"auto"``/``"vector"`` use this fast path when sound, ``"event"``
-forces the oracle.
+``"auto"`` uses this fast path when sound, ``"event"`` forces the
+oracle.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
-from collections import deque
 
 import numpy as np
 
@@ -89,7 +89,7 @@ from .metrics import RunMetrics
 __all__ = ["SIM_MODES", "run_fast"]
 
 #: Accepted ``ServerConfig.sim_mode`` values.
-SIM_MODES = ("auto", "event", "vector")
+SIM_MODES = ("auto", "event")
 
 #: numpy's probability-sum tolerance for ``Generator.choice``.
 _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -104,6 +104,10 @@ _CHUNK = 4096
 #: Busy-period positions the scan advances in lockstep across periods;
 #: the few longer periods finish with one cumsum each.
 _LOCKSTEP = 16
+
+#: Attempt outcomes: success, failure sent back to the queue head, and
+#: failure with the retry budget spent.
+_OK, _RETRY, _FAIL = 0, 1, 2
 
 
 def _exit_cdf(exit_rates) -> np.ndarray:
@@ -165,118 +169,78 @@ def _served_arrivals(sim, plan):
     return arrivals, total, dropped
 
 
-def _inference_errors(plan) -> bool:
-    """Whether a run's fault plan can fail an inference."""
-    return plan is not None and plan.spec.inference_error_prob > 0.0
+def _attempt_kinds(hits: np.ndarray, budget: int) -> np.ndarray:
+    """Outcome of every attempt completing inside the error window.
+
+    ``hits[i]`` is the window's ``i``-th inference decision. A frame's
+    attempts take consecutive decisions: a miss succeeds (``_OK``), a hit
+    sends the frame back while it has retries left (``_RETRY``) and fails
+    it for good otherwise (``_FAIL``). The first attempt in the window
+    opens a frame (before the window every attempt succeeds), so frame
+    boundaries follow from the decisions alone: a hit is attempt
+    ``r mod (budget + 1)`` of its frame, ``r`` the hits since the last
+    miss.
+    """
+    idx = np.arange(len(hits))
+    last_miss = np.maximum.accumulate(np.where(hits, -1, idx))
+    attempt = (idx - last_miss - 1) % (budget + 1)
+    return np.where(hits, np.where(attempt < budget, _RETRY, _FAIL),
+                    _OK).astype(np.int8)
 
 
-class _Kernel:
+class _SerialKernel:
     """Queue and server state of one run, advanced segment by segment.
 
     A segment ends at a boundary — a decision tick, a reconfiguration
-    retry, or the horizon — where :func:`run_fast` may change
-    ``entry``, ``reconfig_until`` and ``shedding``. Subclasses implement
-    :meth:`serve` for one queue discipline; it admits arrivals and runs
-    services with start times up to the boundary and returns ``False``
-    on an exact event-time tie with it. ``plan`` is the run's fault plan
-    (``None`` when fault-free); only its inference errors reach the
-    kernel. A ``lazy`` kernel may be served across several decision
-    ticks at once: it checks the ticks queued in ``skipped`` for ties.
-    """
+    retry, or the horizon — where :func:`run_fast` may change ``entry``,
+    ``reconfig_until`` and ``shedding``. :meth:`serve` admits arrivals
+    and starts service attempts up to the boundary and returns ``False``
+    on an exact event-time tie with it. Served across several decision
+    ticks at once, the kernel checks the ticks queued in ``skipped`` for
+    ties.
 
-    lazy = False
+    Every attempt draws one uniform of the main stream at its start (the
+    exit choice) and, if it completes successfully by the horizon, one at
+    its completion (the correctness sample); the single server makes the
+    draws strictly sequential. So attempt ``k`` of the run reads
+    position ``P_k = P_{k-1} + 1 + ok_{k-1}``, whichever arrivals end up
+    admitted — which is what lets :meth:`serve` run the admission
+    recursion as array work. Without inference errors every attempt
+    succeeds and frame ``f`` reads uniform pair ``f``. With them, a
+    failed frame returns to the queue head at its completion and, the
+    server being free, restarts at once: a retry is one more service term
+    in its frame's chain. Which attempts fail follows from the inference
+    stream (:func:`_attempt_kinds`) as long as the completions stay on
+    one side of each edge of the plan's active window; completions are
+    monotone, so a chunk whose completions cross an edge is planned
+    again with the crossing attempt on its actual side. A failed
+    attempt still in service at the boundary leaves its
+    frame pending (``pend``): it rejoins the queue head at its
+    completion and restarts with the entry current then.
 
-    def __init__(self, sim, arrivals: np.ndarray, plan):
-        cfg = sim.config
-        self.arrivals = arrivals
-        self.duration = sim.workload.duration_s
-        self.capacity = cfg.queue_capacity
-        self.shed_len = cfg.shed_queue_len
-        self.shedding = False   # bottom brownout rung: admission sheds
-        self.entry = None
-        self.c_last = _NEG_INF  # completion time of the last start
-        self.reconfig_until = 0.0
-        self.ai = 0             # next arrival index to admit
-        self.processed = 0
-        self.lost = 0
-        self.shed = 0
-        self.failed = 0
-        self.retries = 0
-        self.batches = 0
-        self.correct = 0        # integer-exact accuracy_sum
-        self.latencies: list[float] = []  # in completion order
-        if _inference_errors(plan):
-            spec = plan.spec
-            self.budget = spec.inference_retries
-            self.err_from = spec.active_from_s
-            self.err_until = _INF if spec.active_until_s is None \
-                else spec.active_until_s
-            # Every frame is served at most budget + 1 times, so this
-            # block covers every inference decision of the run.
-            self.err_hits = plan.inference_errors(
-                len(arrivals) * (self.budget + 1)).tolist()
-        else:
-            # No inference errors: an empty error window.
-            self.budget = 0
-            self.err_from = self.err_until = _INF
-            self.err_hits = []
-        self.ei = 0  # inference decisions consumed
-        # Every service consumes at most two uniforms of the main
-        # stream (exit choice, correctness).
-        self.draws = np.random.default_rng(sim.seed + 777).random(
-            2 * len(arrivals) * (self.budget + 1) + 2)
-
-    def set_entry(self, entry) -> None:
-        self.entry = entry
-
-    def queued(self) -> int:
-        """Frames waiting in the queue (excludes the one in service)."""
-        raise NotImplementedError
-
-    def in_flight(self) -> int:
-        """Frames in service at the horizon (no terminal state)."""
-        raise NotImplementedError
-
-    def latency_sum(self) -> float:
-        """Sum of recorded latencies, in completion order."""
-        # cumsum is a sequential left-to-right accumulation,
-        # bit-identical to the event loop's `latency_sum += service`.
-        if not self.latencies:
-            return 0.0
-        return float(np.cumsum(np.asarray(self.latencies))[-1])
-
-
-class _SerialKernel(_Kernel):
-    """One frame per accelerator invocation, no inference errors.
-
-    The event loop draws one uniform at each service start (the exit
-    choice) and one at each completion (the correctness sample),
-    strictly alternating in service order; at most ``n`` frames are ever
-    served, so 2n uniforms cover every draw it can consume. Frame ``f``
-    of the run (in start order) therefore always reads uniform pair
-    ``f``, whichever arrivals end up admitted — which is what lets
-    :meth:`serve` run the admission recursion as array work.
-
-    Write ``a'`` for ``max(arrival, reconfig_until)``, ``s``/``c`` for a
-    frame's start/completion. Frame ``f`` starts at
-    ``s_f = max(a'_f, c_{f-1})``, opening a *busy period* when
-    ``a'_f > c_{f-1}`` (an *idle* start when its arrival is the
-    maximum) and continuing one otherwise. An arrival sees
-    ``N - K`` queued frames, ``N`` frames admitted before it and ``K``
-    of them started strictly before it (idle starts included, as they
-    start inside their own arrival event), and is refused at
-    ``N - K >= L`` — ``L`` the shedding length on the bottom brownout
-    rung, else the capacity. :meth:`serve` scans a segment's arrivals
-    in chunks of at most ``_CHUNK``:
+    Write ``a'`` for ``max(arrival, reconfig_until)``, ``s``/``c`` for an
+    attempt's start/completion. A frame's first attempt starts at
+    ``s = max(a', c_prev)``, ``c_prev`` the completion before it, opening
+    a *busy period* when ``a' > c_prev`` (an *idle* start when its
+    arrival is the maximum) and continuing one otherwise; a retry always
+    continues. An arrival sees ``N - K`` queued frames, ``N`` frames
+    admitted before it and ``K`` of them started strictly before it
+    (idle starts included, as they start inside their own arrival event),
+    and is refused at ``N - K >= L`` — ``L`` the shedding length on the
+    bottom brownout rung, else the capacity. Frames queued at the start
+    of a segment enter the scan first, as arrivals at ``-inf`` that are
+    always admitted. :meth:`serve` scans a segment's arrivals in chunks
+    of at most ``_CHUNK``:
 
     * optimistically assuming the chunk admits every arrival, the
       max-plus closed form ``c_k ~ S_k + max(c_prev, max_{j<=k}(a'_j -
-      S_{j-1}))`` (``S`` the cumsum of service times) locates every
-      busy-period start at once; each period's chain is then recomputed
-      exactly as a sequential prefix sum seeded with its start
-      (:func:`_chain`: the event loop's ``max``/``+`` chain, addition
-      by addition) and every start/continuation is checked against the
-      exact chain — the chunk is cut at the first check that fails;
+      S_{j-1}))`` (``S`` the cumsum of service times, ``a' = -inf`` for
+      retries) locates every busy-period start at once; each period's
+      chain is then recomputed exactly as a sequential prefix sum seeded
+      with its start (:func:`_chain`: the event loop's ``max``/``+``
+      chain, addition by addition) and every start/continuation is
+      checked against the exact chain — the chunk is cut at the first
+      check that fails;
     * queue lengths then follow from ``searchsorted`` of the arrival
       times into the exact start times; the chunk is committed up to
       the first refused arrival;
@@ -289,32 +253,72 @@ class _SerialKernel(_Kernel):
       where the optimistic scan resumes.
     """
 
-    lazy = True
-
-    def __init__(self, sim, arrivals, plan):
-        super().__init__(sim, arrivals, plan)
-        self.u_choice = self.draws[0::2]
-        self.u_correct = self.draws[1::2]
-        self.qlen = 0     # admitted frames waiting (excludes in-service)
-        self.started = 0  # frames started == RNG pairs consumed
+    def __init__(self, sim, arrivals: np.ndarray, plan):
+        cfg = sim.config
+        self.arrivals = arrivals
+        self.duration = sim.workload.duration_s
+        self.capacity = cfg.queue_capacity
+        self.shed_len = cfg.shed_queue_len
+        self.shedding = False   # bottom brownout rung: admission sheds
+        self.entry = None
+        self.c_last = _NEG_INF  # completion of the last attempt started
+        self.reconfig_until = 0.0
+        self.ai = 0             # next arrival index to admit
+        self.qlen = 0           # admitted frames waiting (not in service)
+        self.started = 0        # first attempts (and restarts) started
+        self.pend = False       # the attempt in service fails and retries
+        self.p = 0              # main-stream position of the next attempt
+        self.ei = 0             # inference decisions consumed
+        self.processed = 0
+        self.lost = 0
+        self.shed = 0
+        self.failed = 0
+        self.retries = 0
+        self.correct = 0        # integer-exact accuracy_sum
         self.lat_sum = 0.0
         # Decision ticks passed since the last serve call: a completion
         # landing exactly on one is an event-order tie.
         self.skipped: list = []
+        self.budget = 0
+        self.err_from = self.err_until = _INF  # empty error window
+        self.outcomes = None
+        if plan is not None and plan.spec.inference_error_prob > 0.0:
+            spec = plan.spec
+            self.budget = spec.inference_retries
+            self.err_from = spec.active_from_s
+            if spec.active_until_s is not None:
+                self.err_until = spec.active_until_s
+            # Every frame is served at most budget + 1 times, so this
+            # block covers every inference decision of the run.
+            self.outcomes = _attempt_kinds(
+                plan.inference_errors(len(arrivals) * (self.budget + 1)),
+                self.budget)
+        self.draws = np.random.default_rng(sim.seed + 777).random(
+            2 * len(arrivals) * (self.budget + 1) + 2)
 
-    def queued(self) -> int:
-        return self.qlen
+    def _refuse(self, n: int) -> None:
+        if self.shedding:
+            self.shed += n
+        else:
+            self.lost += n
 
-    def in_flight(self) -> int:
-        return 1 if self.c_last > self.duration else 0
-
-    def latency_sum(self) -> float:
-        return self.lat_sum
+    def _requeue(self, t_end: float, limit: int) -> None:
+        """The attempt in service fails: its frame rejoins the queue head
+        at the attempt's completion ``c_last``. Nothing starts before
+        then, so arrivals up to it meet a queue that only grows."""
+        c_last = self.c_last
+        k = int(np.searchsorted(self.arrivals, min(c_last, t_end),
+                                side="right"))
+        n = k - self.ai
+        admit = min(n, max(limit - self.qlen, 0))
+        self._refuse(n - admit)
+        self.qlen += admit
+        self.ai = k
+        if c_last <= t_end:
+            self.pend = False
+            self.qlen += 1
 
     def serve(self, t_end: float, is_tick: bool) -> bool:
-        arrivals = self.arrivals
-        j = self.ai
-        hi = int(np.searchsorted(arrivals, t_end, side="right"))
         c_last = self.c_last
         # A completion exactly on a tick — skipped or this boundary — is
         # an event-order tie; any start on the boundary other than an
@@ -324,18 +328,25 @@ class _SerialKernel(_Kernel):
         self.skipped = []
         if c_last in ties:
             return False
-        ticks = np.asarray(ties) if ties else None
-        q = self.qlen
-        if not q and j == hi:
+        limit = self.shed_len if self.shedding else self.capacity
+        if self.pend:
+            self._requeue(t_end, limit)
+        arrivals = self.arrivals
+        j = self.ai
+        hi = int(np.searchsorted(arrivals, t_end, side="right"))
+        carried = self.qlen  # queued frames still to scan (at -inf)
+        if self.pend or not carried and j == hi:
             return True
+        ticks = np.asarray(ties) if ties else None
         duration = self.duration
         reconfig_until = self.reconfig_until
-        limit = self.shed_len if self.shedding else self.capacity
         entry = self.entry
         accuracy = entry.accuracy
-        base = self.started
-        u_choice = self.u_choice
-        u_correct = self.u_correct
+        draws = self.draws
+        outcomes = self.outcomes
+        err_from = self.err_from
+        err_until = self.err_until
+        span = self.budget + 1
         cdf = _exit_cdf(entry.exit_rates)
         if entry.exit_latencies_s:
             lat = np.asarray(entry.exit_latencies_s, dtype=np.float64)
@@ -343,82 +354,118 @@ class _SerialKernel(_Kernel):
             lat = None
             const = entry.latency_s
 
-        def services(f0: int, f1: int) -> np.ndarray:
-            """Service times of segment frames ``f0..f1-1`` (position-
-            indexed uniforms: recomputing a frame is side-effect free)."""
-            if lat is None:
-                return np.full(f1 - f0, const)
-            return lat[cdf.searchsorted(u_choice[base + f0:base + f1],
-                                        side="right")]
-
-        started = 0       # segment frames started
+        started = 0
         processed = self.processed
         correct = self.correct
         lat_sum = self.lat_sum
-
-        def commit(f0: int, s, c, x) -> bool:
-            """Account frames ``f0..`` (exact ``s``/``c``) that start by
-            the boundary; ``False`` on a tick tie."""
-            nonlocal started, processed, correct, lat_sum, c_last
-            # Starts are sorted across blocks: once one frame stays
-            # queued, every later block starts nothing.
-            k = int(np.searchsorted(s, t_end, side="right"))
-            if not k:
-                return True
-            started += k
-            cs = c[:k]
-            c_last = float(cs[-1])
-            # Completion events at or before the horizon always fire; a
-            # later one leaves its frame in flight (exit draw consumed).
-            done = int(np.searchsorted(cs, duration, side="right"))
-            if done:
-                processed += done
-                lat_sum = float(np.cumsum(
-                    np.concatenate(([lat_sum], x[:done])))[-1])
-                lo = base + f0
-                correct += int(np.count_nonzero(
-                    u_correct[lo:lo + done] < accuracy))
-            if ticks is not None:
-                pos = np.searchsorted(cs, ticks)
-                inside = pos < k
-                if np.any(cs[pos[inside]] == ticks[inside]):
-                    return False
-            return True
-
+        failed = retries = 0
+        pend = False
+        p_done = pos = self.p    # stream position: committed / admitted
+        ei_done = ei = self.ei   # inference decisions: likewise
         refused = 0
-        frames = q        # segment frames admitted (carried queue first)
-        c_prev = c_last   # completion of the last admitted frame
+        frames = 0        # segment frames admitted (carried queue first)
+        c_prev = c_last   # completion of the last admitted attempt
         k0 = 0            # frames counted as started by every later arrival
         tail_s = np.empty(0)              # starts of frames k0..frames-1
         tail_idle = np.zeros(0, dtype=bool)
-        if q:
-            # The carried queue continues one chain from the first start.
-            sigma = c_last if c_last >= reconfig_until else reconfig_until
-            x = services(0, q)
-            c = x.copy()
-            c[0] += sigma
-            np.cumsum(c, out=c)
-            tail_s = np.concatenate(([sigma], c[:-1]))
-            tail_idle = np.zeros(q, dtype=bool)
-            if not commit(0, tail_s, c, x):
-                return False
-            c_prev = float(c[-1])
 
         refusing = False
-        while j < hi:
-            t = arrivals[j:min(hi, j + _CHUNK)]
-            w = len(t)
-            x = services(frames, frames + w)
+        while carried or j < hi:
+            chunk = arrivals[j:min(hi, j + _CHUNK)]
+            if carried:
+                chunk = np.concatenate((np.full(carried, _NEG_INF), chunk))
+            # Attempts k_in..k_out-1 assumed to complete inside the error
+            # window, guessed from the first one's earliest start and
+            # planned again until the chain agrees.
+            n_att = len(chunk) * span
+            k_out = n_att
+            k_in = 0 if err_from <= max(c_prev, chunk[0]) < err_until \
+                else n_att
+            while True:
+                t = chunk
+                w = len(t)
+                if k_in >= k_out:
+                    # Every attempt succeeds: one per frame, uniform pairs.
+                    kinds = F = P = None
+                    u = draws[pos:pos + 2 * w:2]
+                else:
+                    kinds = np.zeros(n_att, dtype=np.int8)
+                    seg = outcomes[ei:ei + min(k_out, n_att) - k_in]
+                    kinds[k_in:k_in + len(seg)] = seg
+                    # F[i]: frame i's first attempt; F[w]: attempt count.
+                    F = np.concatenate(
+                        ([0], np.flatnonzero(kinds != _RETRY)[:w] + 1))
+                    kinds = kinds[:F[-1]]
+                    P = pos + np.concatenate(
+                        ([0], np.cumsum(2 - (kinds != _OK))))
+                    u = draws[P[:-1]]
+                x = np.full(len(u), const) if lat is None \
+                    else lat[cdf.searchsorted(u, side="right")]
+                m = len(x)
+                if refusing:
+                    # Inside a busy period holding a refusal: the chain of
+                    # the next w frames is fixed whichever arrivals join.
+                    c = x.copy()
+                    c[0] += c_prev
+                    np.cumsum(c, out=c)
+                    c_ext = np.concatenate(([c_prev], c))
+                    s_att = c_ext[:-1]
+                else:
+                    # Optimistic: every arrival of the chunk admitted.
+                    a = np.maximum(t, reconfig_until)
+                    if F is None:
+                        aa = a
+                    else:
+                        aa = np.full(m, _NEG_INF)
+                        aa[F[:-1]] = a
+                    cums = np.cumsum(x)
+                    d = aa.copy()
+                    d[1:] -= cums[:-1]
+                    run_max = np.maximum.accumulate(d)
+                    prev = np.empty(m)
+                    prev[0] = c_prev
+                    np.maximum(run_max[:-1], c_prev, out=prev[1:])
+                    head = d > prev  # approximate busy-period starts
+                    c = x.copy()
+                    c[head] += aa[head]
+                    if not head[0]:
+                        c[0] += c_prev
+                    bounds = np.flatnonzero(head)
+                    if not head[0]:
+                        bounds = np.concatenate(([0], bounds))
+                    _chain(c, bounds, np.diff(np.append(bounds, m)))
+                    prev[1:] = c[:-1]  # exact now: check every classification
+                    bad = (aa > prev) != head
+                    if bad.any():
+                        m = int(np.argmax(bad))  # a first attempt, >= 1
+                        w = m if F is None else int(np.searchsorted(F, m))
+                        t, a, c, prev, head = (
+                            t[:w], a[:w], c[:m], prev[:m], head[:m])
+                        if F is not None:
+                            F, kinds, P = F[:w + 1], kinds[:m], P[:m + 1]
+                if outcomes is not None:
+                    inside = (c >= err_from) & (c < err_until)
+                    assumed = np.zeros(m, dtype=bool)
+                    assumed[k_in:k_out] = True
+                    off = np.flatnonzero(inside != assumed)
+                    if len(off):
+                        # Fixing the first wrong guess leaves the chain
+                        # up to it intact, so this converges.
+                        k = int(off[0])
+                        if inside[k]:
+                            k_in, k_out = k, n_att
+                        else:
+                            k_out = k
+                        continue
+                break
+
             if refusing:
-                # Inside a busy period holding a refusal: the chain of
-                # the next w frames is fixed whichever arrivals join.
-                c = x.copy()
-                c[0] += c_prev
-                np.cumsum(c, out=c)
-                s = np.concatenate(([c_prev], c[:-1]))
-                idle = np.zeros(w, dtype=bool)
+                if F is None:
+                    s, c_end = s_att, c_ext
+                else:
+                    s, c_end = c_ext[F[:-1]], c_ext[F]
                 s_all = np.concatenate((tail_s, s))
-                idle_all = np.concatenate((tail_idle, idle))
+                idle_all = np.concatenate((tail_idle, np.zeros(w, dtype=bool)))
                 kk = k0 + _started_before(s_all, idle_all, t)
                 n = np.full(w + 1, frames)
                 # Arrivals meeting a queue at or above the limit (it
@@ -430,7 +477,7 @@ class _SerialKernel(_Kernel):
                     n[p:] = np.minimum.accumulate(
                         np.concatenate(([frames], d))) \
                         + np.arange(w - p + 1)
-                ends = np.concatenate(([c_prev], c))[n[:w] - frames] < t
+                ends = c_end[n[:w] - frames] < t
                 used = int(np.argmax(ends)) if ends.any() else w
                 admitted = int(n[used]) - frames
                 refused += used - admitted
@@ -439,63 +486,85 @@ class _SerialKernel(_Kernel):
                 refusing = used == w
                 k_last = int(kk[-1]) if refusing else frames + admitted
             else:
-                # Optimistic: every arrival of the chunk admitted.
-                a = np.maximum(t, reconfig_until)
-                cums = np.cumsum(x)
-                d = a.copy()
-                d[1:] -= cums[:-1]
-                run_max = np.maximum.accumulate(d)
-                prev = np.empty(w)
-                prev[0] = c_prev
-                np.maximum(run_max[:-1], c_prev, out=prev[1:])
-                head = d > prev  # approximate busy-period starts
-                c = x.copy()
-                c[head] += a[head]
-                if not head[0]:
-                    c[0] += c_prev
-                bounds = np.flatnonzero(head)
-                if not head[0]:
-                    bounds = np.concatenate(([0], bounds))
-                _chain(c, bounds, np.diff(np.append(bounds, w)))
-                prev[1:] = c[:-1]  # exact now: check every classification
-                bad = (a > prev) != head
-                if bad.any():
-                    w = int(np.argmax(bad))  # >= 1: frame 0 is exact
-                    t, a, x, c, prev, head = (
-                        t[:w], a[:w], x[:w], c[:w], prev[:w], head[:w])
-                s = np.where(head, a, prev)
-                idle = head & (t >= reconfig_until)
+                s_att = np.where(head, aa[:m], prev)
+                if F is None:
+                    s, first = s_att, head
+                else:
+                    s, first = s_att[F[:-1]], head[F[:-1]]
                 s_all = np.concatenate((tail_s, s))
-                idle_all = np.concatenate((tail_idle, idle))
+                idle_all = np.concatenate(
+                    (tail_idle, first & (t >= reconfig_until)))
                 kk = k0 + _started_before(s_all, idle_all, t)
                 over = (frames + np.arange(w)) - kk >= limit
+                over[:carried] = False
                 used = admitted = int(np.argmax(over)) if over.any() else w
                 refusing = used < w
                 k_last = int(kk[used - 1]) if used else k0
-            if not commit(frames, s[:admitted], c[:admitted],
-                          x[:admitted]):
-                return False
-            if admitted:
-                c_prev = float(c[admitted - 1])
+
+            # Commit the admitted frames' attempts that start by the
+            # boundary; starts are sorted across chunks, so once one
+            # attempt waits, every later chunk commits nothing.
+            m = admitted if F is None else int(F[admitted])
+            k = int(np.searchsorted(s_att[:m], t_end, side="right"))
+            if k:
+                cs = c[:k]
+                c_last = float(cs[-1])
+                started += k if F is None else int(np.searchsorted(F, k))
+                # Completion events at or before the horizon always fire;
+                # a later one leaves its frame in flight (exit draw
+                # consumed).
+                done = int(np.searchsorted(cs, duration, side="right"))
+                if done:
+                    if kinds is None:
+                        served = x[:done]
+                        good = draws[pos + 1:pos + 2 * done:2]
+                    else:
+                        outcome = kinds[:done]
+                        ok = outcome == _OK
+                        served = x[:done][ok]
+                        good = draws[P[:done][ok] + 1]
+                        again = int(np.count_nonzero(outcome == _RETRY))
+                        retries += again
+                        failed += done - len(served) - again
+                    processed += len(served)
+                    lat_sum = float(np.cumsum(
+                        np.concatenate(([lat_sum], served)))[-1])
+                    correct += int(np.count_nonzero(good < accuracy))
+                pend = kinds is not None and kinds[k - 1] == _RETRY
+                p_done = pos + 2 * k if P is None else int(P[k])
+                ei_done = ei + max(0, min(k, k_out) - k_in)
+                if ticks is not None:
+                    at = np.searchsorted(cs, ticks)
+                    inside = at < k
+                    if np.any(cs[at[inside]] == ticks[inside]):
+                        return False
+            if m:
+                c_prev = float(c[m - 1])
+            pos = pos + 2 * m if P is None else int(P[m])
+            ei += max(0, min(m, k_out) - k_in)
             # Frames k_last.. may still start after the next arrival.
             keep = slice(k_last - k0, frames + admitted - k0)
             tail_s = s_all[keep]
             tail_idle = idle_all[keep]
             k0 = k_last
             frames += admitted
-            j += used
+            scanned = min(used, carried)
+            carried -= scanned
+            j += used - scanned
 
         self.qlen = frames - started
         self.ai = j
         self.c_last = c_last
-        self.started = base + started
+        self.started += started
+        self.pend = pend
+        self.p = p_done
+        self.ei = ei_done
         self.processed = processed
         self.correct = correct
         self.lat_sum = lat_sum
-        if self.shedding:
-            self.shed += refused
-        else:
-            self.lost += refused
+        self.failed += failed
+        self.retries += retries
+        self._refuse(refused)
         return True
 
 
@@ -532,349 +601,6 @@ def _started_before(s_all, idle_all, t) -> np.ndarray:
     return p
 
 
-class _SerialRetryKernel(_Kernel):
-    """One frame per invocation under transient inference errors.
-
-    A frame whose completion fails is decided at its start: it stays in
-    service until its completion (``pend``), then returns to the queue
-    head with ``attempts + 1`` — at most one such frame exists, and it
-    is always the next to start. Exit choice and correctness share one
-    stream read through a position pointer, because a failed completion
-    draws no correctness uniform.
-    """
-
-    def __init__(self, sim, arrivals, plan):
-        super().__init__(sim, arrivals, plan)
-        self.arr_list = arrivals.tolist()
-        self.draw_list = self.draws.tolist()
-        self.p = 0          # next unconsumed position in the main stream
-        self.qlen = 0
-        self.head_att = 0   # attempts of the queue head
-        self.pend = False   # the frame in service returns to the queue
-        self.pend_att = 0
-
-    def queued(self) -> int:
-        return self.qlen
-
-    def in_flight(self) -> int:
-        return 1 if self.c_last > self.duration else 0
-
-    def serve(self, t_end: float, is_tick: bool) -> bool:
-        entry = self.entry
-        arr_list = self.arr_list
-        duration = self.duration
-        capacity = self.capacity
-        shedding = self.shedding
-        shed_len = self.shed_len
-        reconfig_until = self.reconfig_until
-        served_latencies = self.latencies
-        draws = self.draw_list
-        err_hits = self.err_hits
-        err_from = self.err_from
-        err_until = self.err_until
-        budget = self.budget
-        qlen = self.qlen
-        head_att = self.head_att
-        pend = self.pend
-        pend_att = self.pend_att
-        ai = self.ai
-        c_last = self.c_last
-        p = self.p
-        ei = self.ei
-        processed = self.processed
-        correct = self.correct
-        failed = 0
-        retries = 0
-        lost = 0
-        shed = 0
-        hi = int(np.searchsorted(self.arrivals, t_end, side="right"))
-
-        cdf = lat = None
-        const = entry.latency_s
-        accuracy = entry.accuracy
-        if qlen or pend or hi > ai:
-            if entry.exit_latencies_s:
-                cdf = _exit_cdf(entry.exit_rates).tolist()
-                lat = list(entry.exit_latencies_s)
-            else:
-                _exit_cdf(entry.exit_rates)  # same validation as choice
-
-        def start_frame(sigma: float, attempts: int) -> None:
-            nonlocal c_last, p, ei, processed, correct, failed, retries, \
-                pend, pend_att
-            u = draws[p]
-            p += 1
-            service = lat[bisect_right(cdf, u)] if cdf is not None \
-                else const
-            c_last = sigma + service
-            if c_last > duration:
-                return  # in flight at the horizon: no completion
-            if err_from <= c_last < err_until:
-                ei += 1
-                if err_hits[ei - 1]:
-                    # Service time burned; back to the queue head at
-                    # c_last until the budget runs out.
-                    if attempts < budget:
-                        retries += 1
-                        pend = True
-                        pend_att = attempts + 1
-                    else:
-                        failed += 1
-                    return
-            processed += 1
-            served_latencies.append(service)
-            if draws[p] < accuracy:
-                correct += 1
-            p += 1
-
-        while ai < hi:
-            t_arr = arr_list[ai]
-            ai += 1
-            while qlen or pend:
-                sigma = c_last if c_last >= reconfig_until \
-                    else reconfig_until
-                if sigma >= t_arr:
-                    break
-                if pend:
-                    pend = False
-                    qlen += 1
-                    head_att = pend_att
-                qlen -= 1
-                attempts = head_att
-                head_att = 0
-                start_frame(sigma, attempts)
-            if pend and c_last < t_arr:
-                # The failed frame completed before this arrival and
-                # waits at the queue head (reconfiguration dead time).
-                pend = False
-                qlen += 1
-                head_att = pend_att
-            if shedding and qlen >= shed_len:
-                shed += 1
-            elif qlen >= capacity:
-                lost += 1
-            elif qlen == 0 and c_last < t_arr \
-                    and reconfig_until <= t_arr:
-                start_frame(t_arr, 0)
-            else:
-                qlen += 1
-        while qlen or pend:
-            sigma = c_last if c_last >= reconfig_until else reconfig_until
-            if sigma > t_end or (is_tick and sigma == t_end):
-                break
-            if pend:
-                pend = False
-                qlen += 1
-                head_att = pend_att
-            qlen -= 1
-            attempts = head_att
-            head_att = 0
-            start_frame(sigma, attempts)
-        if pend and c_last <= t_end:
-            pend = False
-            qlen += 1
-            head_att = pend_att
-        if is_tick and qlen and sigma == t_end:
-            return False
-
-        self.qlen = qlen
-        self.head_att = head_att
-        self.pend = pend
-        self.pend_att = pend_att
-        self.ai = ai
-        self.c_last = c_last
-        self.p = p
-        self.ei = ei
-        self.processed = processed
-        self.correct = correct
-        self.failed += failed
-        self.retries += retries
-        self.lost += lost
-        self.shed += shed
-        return True
-
-
-class _BatchKernel(_Kernel):
-    """Micro-batched admission, with or without inference errors.
-
-    Queue items are ``(arrival_time, attempts)`` (batch membership is an
-    arrival-window condition) and the RNG stream is consumed
-    batch-granularly: a batch of ``k`` frames draws ``k`` exit uniforms
-    at its start and — only if its completion event fires within the
-    horizon — one correctness uniform per frame that did not fail, at
-    its completion, exactly the order the batched event path consumes
-    them (no other draw interleaves between a batch's start and its
-    completion, because the single server starts the next batch only
-    from the completion callback). Inside the error window every frame
-    of a completing batch consumes one inference decision; failed frames
-    wait in ``retry`` until the batch's completion, then return to the
-    queue head in arrival order. Without inference errors the window is
-    empty and ``retry`` stays empty.
-    """
-
-    def __init__(self, sim, arrivals, plan):
-        super().__init__(sim, arrivals, plan)
-        cfg = sim.config
-        self.arr_list = arrivals.tolist()
-        self.batch_window = cfg.batch_window_s
-        self.overhead = cfg.dispatch_overhead_s
-        self.pend: deque = deque()  # queued frames
-        self.retry: list = []       # failed frames of the last batch
-        self.p = 0                  # next unconsumed stream position
-        self.k_last = 0             # size of the last started batch
-        self.tables = None
-
-    def set_entry(self, entry) -> None:
-        # Sampling tables are built lazily at the first batch start of a
-        # segment — the moment the event path first validates the
-        # entry's exit distribution.
-        self.entry = entry
-        self.tables = None
-
-    def _tables(self):
-        if self.tables is None:
-            entry = self.entry
-            if entry.exit_latencies_s:
-                self.tables = (_exit_cdf(entry.exit_rates),
-                               np.asarray(entry.exit_latencies_s,
-                                          dtype=np.float64), 0.0)
-            else:
-                _exit_cdf(entry.exit_rates)  # same validation as choice
-                self.tables = (None, None, entry.latency_s)
-        return self.tables
-
-    def _services(self, k: int) -> list:
-        """Exit-path service times of the next ``k`` frames started."""
-        cdf, lat, const = self._tables()
-        uc = self.draws[self.p:self.p + k]
-        self.p += k
-        if cdf is not None:
-            return lat[cdf.searchsorted(uc, side="right")].tolist()
-        return [const] * k
-
-    def queued(self) -> int:
-        return len(self.pend)
-
-    def in_flight(self) -> int:
-        return self.k_last if self.c_last > self.duration else 0
-
-    def start_batch(self, sigma: float) -> float:
-        """Start one plan invocation at ``sigma``: the queue head plus
-        every queued frame within ``batch_window`` of its arrival.
-        Returns the invocation's completion time."""
-        pend = self.pend
-        retry = self.retry
-        if retry:
-            # The previous batch completed: its failed frames are back
-            # at the head, in arrival order.
-            pend.extendleft(reversed(retry))
-            retry.clear()
-        head = pend.popleft()
-        batch = [head]
-        window_end = head[0] + self.batch_window
-        while pend and pend[0][0] <= window_end:
-            batch.append(pend.popleft())
-        k = len(batch)
-        services = self._services(k)
-        overhead = self.overhead
-        total = overhead
-        for service in services:
-            total += service
-        self.c_last = c_last = sigma + total
-        self.k_last = k
-        if c_last > self.duration:
-            # In flight at the horizon — exit draws consumed, no
-            # completion, no terminal state.
-            return c_last
-        # The completion event fires: settle the whole batch. The
-        # correctness draws sit right after the exit draws in the
-        # stream, as the event path's completion callback consumes them.
-        self.batches += 1
-        share = overhead / k
-        accuracy = self.entry.accuracy
-        draws = self.draws
-        latencies = self.latencies
-        p = self.p
-        correct = 0
-        processed = 0
-        active = self.err_from <= c_last < self.err_until
-        for (arrival_t, attempts), service in zip(batch, services):
-            if active:
-                self.ei += 1
-                if self.err_hits[self.ei - 1]:
-                    if attempts < self.budget:
-                        self.retries += 1
-                        retry.append((arrival_t, attempts + 1))
-                    else:
-                        self.failed += 1
-                    continue
-            processed += 1
-            latencies.append(service + share)
-            if draws[p] < accuracy:
-                correct += 1
-            p += 1
-        self.p = p
-        self.correct += correct
-        self.processed += processed
-        return c_last
-
-    def _requeue(self, t: float, strict: bool) -> None:
-        """Return failed frames to the head once their batch completed
-        (strictly before ``t`` for an arrival, which fires before a
-        completion at the same instant)."""
-        if self.retry and (self.c_last < t or
-                           (not strict and self.c_last == t)):
-            self.pend.extendleft(reversed(self.retry))
-            self.retry.clear()
-
-    def serve(self, t_end: float, is_tick: bool) -> bool:
-        pend = self.pend
-        retry = self.retry
-        arr_list = self.arr_list
-        capacity = self.capacity
-        shedding = self.shedding
-        shed_len = self.shed_len
-        reconfig_until = self.reconfig_until
-        start_batch = self.start_batch
-        c_last = self.c_last
-        lost = 0
-        shed = 0
-        ai = self.ai
-        hi = int(np.searchsorted(self.arrivals, t_end, side="right"))
-        while ai < hi:
-            t_arr = arr_list[ai]
-            ai += 1
-            while pend or retry:
-                sigma = c_last if c_last >= reconfig_until \
-                    else reconfig_until
-                if sigma >= t_arr:
-                    break
-                c_last = start_batch(sigma)
-            self._requeue(t_arr, strict=True)
-            if shedding and len(pend) >= shed_len:
-                shed += 1  # bottom-rung admission control
-            elif len(pend) >= capacity:
-                lost += 1
-            elif not pend and c_last < t_arr \
-                    and reconfig_until <= t_arr:
-                pend.append((t_arr, 0))
-                c_last = start_batch(t_arr)  # idle: a batch of itself
-            else:
-                pend.append((t_arr, 0))
-        self.ai = ai
-        while pend or retry:
-            sigma = c_last if c_last >= reconfig_until else reconfig_until
-            if sigma > t_end or (is_tick and sigma == t_end):
-                break
-            c_last = start_batch(sigma)
-        self._requeue(t_end, strict=False)
-        if is_tick and pend and sigma == t_end:
-            return False  # tie: start ordering depends on event seqs
-        self.lost += lost
-        self.shed += shed
-        return True
-
-
 class _ReconfigReplay:
     """The event loop's ``attempt_reconfig`` under a fault plan.
 
@@ -898,7 +624,7 @@ class _ReconfigReplay:
         self.dead_time_s = 0.0
 
     def attempt(self, selected, attempt: int, now: float, entry,
-                kernel: _Kernel):
+                kernel: _SerialKernel):
         """One attempt at ``now``; returns the deployed entry after it."""
         controller = self.controller
         nominal = controller.planned_duration_s(selected.accelerator)
@@ -928,7 +654,7 @@ class _ReconfigReplay:
             return entry
         return self.degrade(entry) or entry
 
-    def retry(self, entry, kernel: _Kernel):
+    def retry(self, entry, kernel: _SerialKernel):
         """Fire the pending retry at ``retry_at``."""
         return self.attempt(self.target, self.next_attempt, self.retry_at,
                             entry, kernel)
@@ -947,15 +673,12 @@ def run_fast(sim):
     duration = workload.duration_s
     policy = sim.policy
 
+    if cfg.batching:
+        return None  # a batch's size has no exact closed-form scan
+
     plan = sim._fault_plan()
     arrivals, total, dropped = _served_arrivals(sim, plan)
-    if cfg.batching:
-        kernel_cls = _BatchKernel
-    elif _inference_errors(plan):
-        kernel_cls = _SerialRetryKernel
-    else:
-        kernel_cls = _SerialKernel
-    kernel = kernel_cls(sim, arrivals, plan)
+    kernel = _SerialKernel(sim, arrivals, plan)
 
     monitor = WorkloadMonitor(window_s=cfg.monitor_window_s)
     controller = ReconfigurationController(
@@ -965,7 +688,7 @@ def run_fast(sim):
     entry = policy.select(workload.nominal_ips)
     controller.switch(entry.accelerator, now_s=0.0)
     initial_events = controller.count
-    kernel.set_entry(entry)
+    kernel.entry = entry
     replay = None if plan is None else _ReconfigReplay(plan, controller,
                                                        policy)
 
@@ -984,10 +707,10 @@ def run_fast(sim):
     select_at = getattr(policy, "select_at", None)
     base_floor = getattr(policy, "min_accuracy", None)
     ladder = brownout and select_at is not None and base_floor is not None
-    # Without brownout a decision never reads the queue, so a lazy
-    # kernel is only served when the tick changes what it serves with
-    # (entry, reconfig_until) — and at retries and the horizon.
-    lazy = kernel.lazy and not brownout
+    # Without brownout a decision never reads the queue, so the kernel
+    # is only served when the tick changes what it serves with (entry,
+    # reconfig_until) — and at retries and the horizon.
+    lazy = not brownout
     rung = 0
     brownout_steps = 0
     brownout_time_s = 0.0
@@ -1024,7 +747,7 @@ def run_fast(sim):
                 return None
         if is_retry:
             entry = replay.retry(entry, kernel)
-            kernel.set_entry(entry)
+            kernel.entry = entry
             continue
 
         ti += 1
@@ -1038,7 +761,7 @@ def run_fast(sim):
             energy_j += entry.power_at(ips) * dt
             last_power_t = tick
         if brownout:
-            occ = kernel.queued() / capacity
+            occ = kernel.qlen / capacity
             new_rung = rung
             if occ >= cfg.brownout_high and new_rung < bottom_rung:
                 new_rung += 1
@@ -1076,7 +799,7 @@ def run_fast(sim):
                 entry = replay.attempt(selected, 0, tick, entry, kernel)
         else:
             entry = selected
-        kernel.set_entry(entry)
+        kernel.entry = entry
         monitor.acknowledge(tick)
         if record_trace:
             # The *deployed* operating point: under fault injection a
@@ -1104,7 +827,6 @@ def run_fast(sim):
     if dt > 0:
         energy_j += entry.power_at(final_ips) * dt
 
-    latency_sum = kernel.latency_sum()
     processed = kernel.processed
 
     post = controller.events[initial_events:]
@@ -1114,9 +836,9 @@ def run_fast(sim):
         total_requests=total,
         processed=processed,
         # Still queued at the horizon: never served.
-        lost=kernel.lost + kernel.queued(),
+        lost=kernel.lost + kernel.qlen,
         accuracy=float(kernel.correct) / processed if processed else 0.0,
-        avg_latency_s=latency_sum / processed if processed else 0.0,
+        avg_latency_s=kernel.lat_sum / processed if processed else 0.0,
         energy_j=energy_j,
         reconfigurations=sum(1 for e in post if e.success),
         reconfig_dead_time_s=sum(e.duration_s for e in post if e.success),
@@ -1126,10 +848,9 @@ def run_fast(sim):
         reconfig_failures=replay.failures if replay else 0,
         reconfig_retries=replay.retries if replay else 0,
         fault_dead_time_s=replay.dead_time_s if replay else 0.0,
-        batches=kernel.batches,
         shed=kernel.shed,
         brownout_steps=brownout_steps,
         brownout_time_s=brownout_time_s,
-        in_flight=kernel.in_flight(),
+        in_flight=1 if kernel.c_last > duration else 0,
         trace=trace if record_trace else {},
     )

@@ -51,21 +51,20 @@ __all__ = ["ServerConfig", "EdgeServerSimulator", "simulate_policy",
 class ServerConfig:
     """Serving parameters.
 
-    ``sim_mode`` picks the simulation engine: ``"event"`` is the
-    discrete-event oracle, ``"vector"`` the segment-batched fast path
-    (:mod:`repro.edge.fastsim`, bit-identical with or without fault
-    injection, ~10-50x faster, falling back to events only on an exact
-    event-time tie), and ``"auto"`` (default) uses the fast path when
-    it can.
+    ``sim_mode`` picks the simulation engine: ``"auto"`` (default)
+    runs the segment-batched fast path (:mod:`repro.edge.fastsim`,
+    bit-identical with or without fault injection, ~10-100x faster) and
+    falls back to the discrete-event oracle on an exact event-time tie
+    or a micro-batched run; ``"event"`` always runs the oracle.
 
     ``batch_window_s``/``dispatch_overhead_s`` enable micro-batched
     admission: when the server picks up the head of the queue, every
     queued frame that arrived within ``batch_window_s`` of it shares the
     same plan invocation — one ``dispatch_overhead_s`` charge amortized
     over the batch (each frame's recorded latency is its own exit-path
-    service time plus ``overhead / batch_size``). Both default to 0,
-    which keeps the historical one-frame-per-invocation path
-    bit-identical.
+    service time plus ``overhead / batch_size``). Batched runs are
+    simulated by the event loop. Both default to 0, which keeps the
+    historical one-frame-per-invocation path bit-identical.
 
     ``partial_reconfig`` installs a
     :class:`~repro.runtime.reconfig.PartialReconfigModel`: swap dead
@@ -192,14 +191,14 @@ class EdgeServerSimulator:
     def run(self) -> RunMetrics:
         """Simulate one run, dispatching on ``config.sim_mode``.
 
-        ``auto``/``vector`` use the segment-batched fast path
+        ``auto`` uses the segment-batched fast path
         (:mod:`repro.edge.fastsim`), which replays fault plans too; a
-        run with an exact event-time tie on a decision tick or
-        reconfiguration retry falls back to the event loop, which
-        remains the semantics oracle. Results are bit-identical either
-        way.
+        micro-batched run, or one with an exact event-time tie on a
+        decision tick or reconfiguration retry, falls back to the event
+        loop, which remains the semantics oracle. Results are
+        bit-identical either way.
         """
-        if self.config.sim_mode in ("auto", "vector"):
+        if self.config.sim_mode == "auto":
             metrics = fastsim.run_fast(self)
             if metrics is not None:
                 return metrics

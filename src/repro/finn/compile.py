@@ -109,15 +109,6 @@ class DataflowAccelerator:
         return self.resources_of(extra)
 
 
-def _exit_rate_vector(rates, num_exits: int) -> np.ndarray:
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.shape != (num_exits,):
-        raise ValueError(f"need {num_exits} exit rates, got shape {rates.shape}")
-    if rates.min() < 0 or not np.isclose(rates.sum(), 1.0):
-        raise ValueError("exit rates must be a probability vector")
-    return rates
-
-
 def compile_accelerator(
     graph: IRGraph,
     folding: FoldingConfig | None = None,

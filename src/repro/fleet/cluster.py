@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.parallel import parallel_map
-from ..edge.server import EdgeServerSimulator, ServerConfig
+from ..edge.server import SIM_MODES, EdgeServerSimulator, ServerConfig
 from ..runtime.baselines import make_policy
 from ..runtime.manager import SelectionPolicy
 from .coordinator import ReconfigCoordinator
@@ -132,6 +132,10 @@ class FleetConfig:
             raise ValueError("capacity_fraction must be in (0, 1]")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
+        if self.sim_mode not in SIM_MODES:
+            raise ValueError(
+                f"sim_mode must be one of {SIM_MODES}, "
+                f"got {self.sim_mode!r}")
         # Brownout parameters are validated in depth by ServerConfig;
         # normalize the tuple here so configs hash/compare cleanly.
         object.__setattr__(self, "brownout_levels",

@@ -59,8 +59,7 @@ class _SelectionIndex:
     """Precomputed search structure behind :meth:`RuntimeManager.select`.
 
     ``select`` runs every decision tick of every simulated run, and a
-    linear rescan of ``Library.feasible`` per tick dominated selection
-    cost. This index makes a query a ``searchsorted`` plus a scan of
+    linear rescan of the library per tick dominated selection cost. This index makes a query a ``searchsorted`` plus a scan of
     one accuracy-tie group:
 
     * accuracy-qualified entries sorted by ``serving_ips`` (stable, so
@@ -252,8 +251,9 @@ class RuntimeManager:
         ``current`` is the currently deployed entry (used to break ties in
         favour of avoiding a reconfiguration).
 
-        Equivalent to filtering ``Library.feasible(min_accuracy,
-        required)`` and taking ``max`` by ``(rounded accuracy, stability,
+        Equivalent to filtering the library for entries with accuracy
+        at least ``min_accuracy`` and serving rate at least ``required``
+        and taking ``max`` by ``(rounded accuracy, stability,
         -energy)`` — with degraded-mode fallback to the fastest
         accuracy-honouring entry when nothing covers the workload — but
         answered from the precomputed throughput-sorted index in

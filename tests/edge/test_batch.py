@@ -1,10 +1,11 @@
 """Micro-batched admission tests.
 
-``ServerConfig.batch_window_s`` / ``dispatch_overhead_s`` switch both
-simulation engines onto the batched admission path: frames arriving
-within one window of the queue head share a single plan invocation, the
-dispatch overhead is amortized over the batch, and the two engines stay
-**bit-identical**. With both knobs at their 0 defaults the legacy
+``ServerConfig.batch_window_s`` / ``dispatch_overhead_s`` switch the
+event loop onto the batched admission path: frames arriving within one
+window of the queue head share a single plan invocation and the
+dispatch overhead is amortized over the batch. The vectorized fast path
+declines batched runs, so ``sim_mode="auto"`` simulates them on the
+event loop too. With both knobs at their 0 defaults the legacy
 one-frame path must be untouched, bit for bit.
 """
 
@@ -13,8 +14,6 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.edge import ServerConfig, WorkloadSpec, simulate_policy
 from repro.edge.server import EdgeServerSimulator
@@ -36,43 +35,17 @@ def run_once(mode, seed=0, workload=None, faults=None, **knobs):
 
 
 class TestEnginesBitIdentical:
-    @given(seed=st.integers(0, 1_000_000),
-           window_ms=st.sampled_from([1.0, 20.0, 80.0]),
-           overhead_ms=st.sampled_from([0.0, 0.5, 3.0]),
-           cameras=st.integers(1, 8),
-           ips=st.floats(5.0, 120.0, allow_nan=False))
-    @settings(max_examples=25, deadline=None)
-    def test_batched_event_vs_vector(self, seed, window_ms, overhead_ms,
-                                     cameras, ips):
-        workload = WorkloadSpec(num_cameras=cameras, ips_per_camera=ips,
-                                duration_s=4.0, deviation=0.2,
-                                deviation_interval_s=1.0)
-        knobs = dict(batch_window_s=window_ms / 1e3,
-                     dispatch_overhead_s=overhead_ms / 1e3)
-        event = run_once("event", seed=seed, workload=workload, **knobs)
-        vector = run_once("vector", seed=seed, workload=workload,
-                          **knobs)
-        assert_identical(event, vector)
-
     def test_overhead_only_batches(self):
         """dispatch_overhead alone (window 0) batches one frame at a
-        time but still goes through the batched path in both engines."""
+        time but still goes through the batched path."""
         event = run_once("event", dispatch_overhead_s=0.002)
-        vector = run_once("vector", dispatch_overhead_s=0.002)
-        assert_identical(event, vector)
         assert event.batches == event.processed  # k=1 per dispatch
 
     def test_partial_reconfig_event_vs_vector(self):
         pr = PartialReconfigModel()
         event = run_once("event", partial_reconfig=pr)
-        vector = run_once("vector", partial_reconfig=pr)
-        assert_identical(event, vector)
-
-    def test_batching_plus_partial_reconfig(self):
-        knobs = dict(batch_window_s=0.03, dispatch_overhead_s=0.001,
-                     partial_reconfig=PartialReconfigModel())
-        assert_identical(run_once("event", **knobs),
-                         run_once("vector", **knobs))
+        fast = run_once("auto", partial_reconfig=pr)
+        assert_identical(event, fast)
 
 
 class TestLegacyPathUntouched:
@@ -117,17 +90,12 @@ class TestAccounting:
                           dispatch_overhead_s=0.002)
         assert 0 < merged.batches < merged.processed
 
-    def test_batches_counter_consistent_across_engines(self):
-        knobs = dict(batch_window_s=0.04, dispatch_overhead_s=0.001)
-        event = run_once("event", **knobs)
-        vector = run_once("vector", **knobs)
-        assert event.batches == vector.batches > 0
-
 
 class TestFaultsRouteToEventLoop:
     def test_batched_fault_campaign_runs(self):
-        """Fault campaigns force the event engine; the batched event
-        path must handle retries (failed frames requeue in order)."""
+        """Batched runs take the event loop under sim_mode='auto', fault
+        campaigns included; the batched event path must handle retries
+        (failed frames requeue in order)."""
         faults = FaultSpec(inference_error_prob=0.05,
                            inference_retries=2)
         for seed in range(3):

@@ -6,10 +6,10 @@ whole-run fallback only on exact event-time ties. These tests pin that
 contract: hypothesis drives random workloads, queue capacities,
 decision intervals and policies through both engines and compares
 every field exactly; random fault specs (every fault category, active
-windows, retry budgets) crossed with batching, brownout, partial
-reconfiguration and staggered ticks must replay on the fast path
-without falling back; and a chaos case checks the dispatcher
-end-to-end under the heavy fault preset.
+windows, retry budgets) crossed with brownout, partial reconfiguration
+and staggered ticks must replay on the fast path without falling back;
+micro-batched runs must be declined to the event loop; and a chaos case
+checks the dispatcher end-to-end under the heavy fault preset.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class TestBitIdentity:
         event = run_metrics(lib, workload,
                             ServerConfig(sim_mode="event", **cfg), seed)
         vector = run_metrics(lib, workload,
-                             ServerConfig(sim_mode="vector", **cfg), seed)
+                             ServerConfig(sim_mode="auto", **cfg), seed)
         assert_identical(event, vector)
 
     def test_fast_path_actually_engages(self):
@@ -131,7 +131,7 @@ class TestBitIdentity:
     def test_campaign_aggregates_identical(self):
         lib = build_library()
         out = {}
-        for mode in ("event", "vector"):
+        for mode in ("event", "auto"):
             agg, runs = simulate_policy(
                 make_policy("adapex", lib), runs=4,
                 workload=WorkloadSpec(num_cameras=4, ips_per_camera=50.0,
@@ -139,7 +139,7 @@ class TestBitIdentity:
                 config=ServerConfig(sim_mode=mode), base_seed=3)
             out[mode] = (dataclasses.asdict(agg),
                          [dataclasses.asdict(r) for r in runs])
-        assert out["event"] == out["vector"]
+        assert out["event"] == out["auto"]
 
 
 fault_specs = st.builds(
@@ -174,20 +174,18 @@ class TestFaultReplay:
         capacity=st.sampled_from([1, 3, 32]),
         interval=st.floats(0.1, 3.0),
         offset=st.sampled_from([0.0, 0.37]),
-        batch=st.sampled_from([(0.0, 0.0), (0.02, 0.001), (0.0, 0.002)]),
         brownout=st.booleans(),
         partial=st.booleans(),
     )
     def test_fault_campaigns_match_event_loop(
             self, faults, workload, seed, fault_seed, capacity, interval,
-            offset, batch, brownout, partial):
+            offset, brownout, partial):
         """Any fault spec replays on the fast path (no fallback) with
         every RunMetrics field, trace and conservation ledger identical
         to the event loop."""
         lib = build_library()
         cfg = dict(queue_capacity=capacity, decision_interval_s=interval,
-                   decision_offset_s=offset, batch_window_s=batch[0],
-                   dispatch_overhead_s=batch[1])
+                   decision_offset_s=offset)
         if brownout:
             cfg.update(brownout_levels=(0.05, 0.12),
                        brownout_shed_occupancy=0.5)
@@ -200,9 +198,29 @@ class TestFaultReplay:
                 config=ServerConfig(sim_mode=mode, **cfg), seed=seed,
                 faults=faults, fault_seed=fault_seed)
 
-        fast = fastsim.run_fast(sim("vector"))
+        fast = fastsim.run_fast(sim("auto"))
         assert fast is not None
         assert_identical(fast, sim("event").run())
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        batch=st.sampled_from([(0.02, 0.001), (0.0, 0.002), (1e-4, 0.0)]),
+        faults=st.one_of(st.none(), fault_specs),
+        workload=workloads,
+        seed=st.integers(0, 2**20),
+    )
+    def test_batched_runs_go_to_event_loop(self, batch, faults, workload,
+                                           seed):
+        """A batch's size depends on the previous completion, which the
+        scan cannot replay: run_fast declines every batched run, and
+        sim_mode='auto' then equals the event loop."""
+        sim = EdgeServerSimulator(
+            make_policy("adapex", build_library()), workload,
+            config=ServerConfig(batch_window_s=batch[0],
+                                dispatch_overhead_s=batch[1]),
+            seed=seed, faults=faults)
+        assert fastsim.run_fast(sim) is None
+        assert_identical(sim.run(), sim._run_event())
 
 
 class TestFallback:
@@ -233,7 +251,7 @@ class TestFallback:
                 import numpy as np
                 return np.array([0.0, 0.1])
 
-        cfg_v = ServerConfig(sim_mode="vector", decision_interval_s=0.25)
+        cfg_v = ServerConfig(sim_mode="auto", decision_interval_s=0.25)
         sim = EdgeServerSimulator(make_policy("adapex", lib), TieTrace(),
                                   config=cfg_v, seed=0)
         assert fastsim.run_fast(sim) is None
@@ -269,10 +287,10 @@ class TestFallback:
                 seed=0, faults=FaultSpec(reconfig_failure_prob=1.0,
                                          retry_backoff_s=backoff))
 
-        assert fastsim.run_fast(sim("vector", 0.25)) is None
+        assert fastsim.run_fast(sim("auto", 0.25)) is None
         assert_identical(sim("auto", 0.25).run(), sim("event", 0.25).run())
         # Off the tick train the same campaign replays on the fast path.
-        fast = fastsim.run_fast(sim("vector", 0.2))
+        fast = fastsim.run_fast(sim("auto", 0.2))
         assert fast is not None and fast.reconfig_retries > 0
         assert_identical(fast, sim("event", 0.2).run())
 
@@ -344,7 +362,7 @@ class TestTieHeavy:
                     trace, config=ServerConfig(sim_mode=mode, **cfg),
                     seed=seed)
 
-            fast = fastsim.run_fast(sim("vector"))
+            fast = fastsim.run_fast(sim("auto"))
             engaged.append(fast is not None)
             if fast is not None:
                 assert_identical(fast, sim("event").run())
@@ -405,13 +423,13 @@ class TestTieHeavy:
         while qlen:
             qlen, started, c_last = qlen - 1, started + 1, c_last + service
 
-        kernel = fastsim._SerialKernel(sim("vector"), np.array(times), None)
-        kernel.set_entry(lib.entries[0])
+        kernel = fastsim._SerialKernel(sim("auto"), np.array(times), None)
+        kernel.entry = lib.entries[0]
         assert kernel.serve(Trace.duration_s, is_tick=False)
         assert (kernel.c_last, kernel.qlen, kernel.started, kernel.lost) \
             == (c_last, 0, started, lost)
 
-        fast = fastsim.run_fast(sim("vector"))
+        fast = fastsim.run_fast(sim("auto"))
         assert fast is not None
         assert_identical(fast, sim("event").run())
 
@@ -430,9 +448,9 @@ class TestTieHeavy:
             config=ServerConfig(queue_capacity=3, brownout_levels=(0.05,),
                                 brownout_shed_occupancy=0.5))
         kernel = fastsim._SerialKernel(sim, times, None)
-        kernel.set_entry(lib.entries[0])
+        kernel.entry = lib.entries[0]
         assert kernel.serve(0.005, is_tick=True)
-        assert (kernel.queued(), kernel.c_last) == (3, 0.01)
+        assert (kernel.qlen, kernel.c_last) == (3, 0.01)
         kernel.shedding = True
         assert kernel.serve(1.0, is_tick=False)
         # 0.006 meets 3 >= 2 queued; by 0.0255 the frames queued at 0.01
@@ -459,7 +477,7 @@ class TestTieHeavy:
             sim = EdgeServerSimulator(make_policy("adapex", lib), Trace())
             kernel = fastsim._SerialKernel(sim, Trace().arrival_times(0),
                                            None)
-            kernel.set_entry(lib.entries[0])
+            kernel.entry = lib.entries[0]
             assert kernel.serve(0.25, is_tick=True)
             kernel.skipped.append(skipped)
             return kernel.serve(1.0, is_tick=False)
@@ -494,11 +512,116 @@ class TestTieHeavy:
 
         # Frame 0 completes at 0.25 (off the 0.375 + k/4 tick train);
         # frame 1 completes at second + 0.25.
-        assert fastsim.run_fast(sim("vector", 0.375)) is None
+        assert fastsim.run_fast(sim("auto", 0.375)) is None
         assert_identical(sim("auto", 0.375).run(), sim("event", 0.375).run())
-        fast = fastsim.run_fast(sim("vector", 0.3))
+        fast = fastsim.run_fast(sim("auto", 0.3))
         assert fast is not None and fast.processed == 2
         assert_identical(fast, sim("event", 0.3).run())
+
+
+class SwitchOnce:
+    """Deploys ``first``, then ``second`` from the first tick on."""
+
+    name = "switch-once"
+
+    def __init__(self, first, second):
+        self.first, self.second = first, second
+
+    def select(self, workload_ips, current=None):
+        return self.first if current is None else self.second
+
+
+class Arrivals:
+    """A fixed arrival trace over one second."""
+
+    duration_s = 1.0
+    nominal_ips = 10.0
+
+    def __init__(self, *times):
+        self.times = times
+
+    def arrival_times(self, seed):
+        import numpy as np
+        return np.array(self.times)
+
+
+class TestInferenceRetries:
+    def test_retry_restarts_after_reconfiguration_with_new_entry(self):
+        """A frame in service across a reconfiguring tick fails inside
+        the dead time, waits at the queue head — where the arrival at
+        0.6875 finds the queue full — and restarts at reconfig_until
+        with the new entry's latency."""
+        slow = _entry(rate=0.0, ct=0.5, acc=0.9, ips=8.0,
+                      exit_lats=(0.125,) * 3)
+        fast = _entry(rate=0.8, ct=0.5, acc=0.8, ips=64.0,
+                      exit_lats=(1 / 64,) * 3)
+        # Frame 0 runs 0.4375-0.5625 on `slow`; the tick at 0.5 swaps to
+        # `fast` (dead until 0.75). Inside the fault window (until
+        # 0.625) its attempt fails; the retry completes outside it.
+        sim = EdgeServerSimulator(
+            SwitchOnce(slow, fast), Arrivals(0.4375, 0.53125, 0.6875),
+            config=ServerConfig(queue_capacity=1, decision_interval_s=0.5,
+                                reconfig_time_s=0.25),
+            faults=FaultSpec(inference_error_prob=1.0, inference_retries=1,
+                             active_until_s=0.625))
+        out = fastsim.run_fast(sim)
+        assert out is not None
+        assert_identical(out, sim._run_event())
+        assert (out.processed, out.retries, out.failed, out.lost) \
+            == (2, 1, 0, 1)
+        assert out.avg_latency_s == 1 / 64
+
+    def test_window_edge_after_refusing_chunk(self, monkeypatch):
+        """Two-arrival chunks: the third is refused whole, so the fourth
+        starts in the refusal recursion with its first arrival (0.5)
+        past the window's opening (0.4375) but its first completion
+        (0.375) before it — the chunk must be planned again with the
+        window opening mid-chunk."""
+        import numpy as np
+
+        monkeypatch.setattr(fastsim, "_CHUNK", 2)
+        lib = Library(metadata={"dataset": "edge"})
+        lib.add(_entry(rate=0.0, ct=0.5, acc=0.9, ips=10.0,
+                       exit_lats=(0.125,) * 3))
+
+        class Trace:
+            duration_s = 1.0
+            nominal_ips = 1.0
+
+            def arrival_times(self, seed):
+                return np.array([0.0, 0.015625, 0.03125, 0.046875,
+                                 0.5, 0.625])
+
+        sim = EdgeServerSimulator(
+            make_policy("adapex", lib), Trace(),
+            config=ServerConfig(queue_capacity=1, decision_interval_s=2.0),
+            faults=FaultSpec(inference_error_prob=0.5, inference_retries=1,
+                             active_from_s=0.4375))
+        out = fastsim.run_fast(sim)
+        assert out is not None and out.retries > 0
+        assert_identical(out, sim._run_event())
+
+    def test_failed_completion_on_skipped_tick_falls_back(self):
+        """Every attempt fails; with one entry no tick serves the kernel,
+        yet a failed completion landing on one (0.125 + 0.25 = 0.375) is
+        a tie the fast path declines."""
+        lib = Library(metadata={"dataset": "tie"})
+        lib.add(_entry(rate=0.0, ct=0.5, acc=0.9, ips=100.0,
+                       exit_lats=(0.25, 0.25, 0.25)))
+
+        def sim(first):
+            return EdgeServerSimulator(
+                make_policy("adapex", lib), Arrivals(first),
+                config=ServerConfig(decision_interval_s=0.25,
+                                    decision_offset_s=0.125),
+                faults=FaultSpec(inference_error_prob=1.0,
+                                 inference_retries=1))
+
+        assert fastsim.run_fast(sim(0.125)) is None
+        assert_identical(sim(0.125).run(), sim(0.125)._run_event())
+        out = fastsim.run_fast(sim(0.0625))
+        assert out is not None and (out.retries, out.failed) == (1, 1)
+        assert_identical(out, sim(0.0625)._run_event())
 
 
 class TestChaos:
@@ -518,7 +641,7 @@ class TestChaos:
                 faults=faults, fault_seed=7)
             results[mode] = (dataclasses.asdict(agg),
                              [dataclasses.asdict(r) for r in runs])
-        assert results["auto"] == results["event"] == results["vector"]
+        assert results["auto"] == results["event"]
 
 
 class TestConfig:
@@ -527,4 +650,4 @@ class TestConfig:
             ServerConfig(sim_mode="warp")
 
     def test_sim_modes_exported(self):
-        assert SIM_MODES == ("auto", "event", "vector")
+        assert SIM_MODES == ("auto", "event")
