@@ -21,16 +21,27 @@ architecture) characterized through the FINN-like flow.
 Execution model
 ---------------
 The sweep is a flat list of independent design points ``(variant,
-pruned_exits, rate, precision)`` — the precision axis applies
-post-training quantization (e.g. INT8) on top of each pruned model. With ``config.parallel_workers > 1`` the points
-run on a process pool (:mod:`repro.core.parallel` — the work is NumPy
-Python loops that hold the GIL, so threads cannot help): the base models
-are trained once in the parent, their weights shipped to each worker via
-:func:`repro.nn.serialize.state_arrays`, and every worker reconstructs
-datasets and twins once in its initializer. Results are merged in
-deterministic sweep order, so parallel libraries are bit-identical to
-serial ones. A :class:`~repro.core.pointcache.PointCache` can additionally
-skip any point characterized by a previous (possibly interrupted) sweep.
+pruned_exits, rate, precision, criterion, schedule)`` — the precision
+axis applies post-training quantization (e.g. INT8) on top of each
+pruned model. One private runner, :class:`_PointRunner`, executes every
+design-time loop: this module's exhaustive sweep and both phases of the
+successive-halving search (:mod:`repro.core.halving`). A phase supplies
+a body ``fn(gen, contexts, spec)``, the fidelity tag that salts its
+cache keys, and its load/store pair; the runner
+
+* splits the points into cache hits, quarantined points and pending
+  work against the :class:`~repro.core.checkpoint.SweepManifest` kept
+  next to the :class:`~repro.core.pointcache.PointCache`;
+* trains the base models the pending points need, once, in the parent;
+* runs the bodies under a :class:`~repro.core.supervise.SupervisedPool`:
+  in-process, or with ``config.parallel_workers > 1`` on forked workers
+  (the work is NumPy Python loops that hold the GIL, so threads cannot
+  help) that receive the trained weights through one shared-memory
+  shipment and rebuild datasets and twins once in their initializer;
+* checkpoints every completion and failure the moment it lands, so a
+  killed sweep resumes with zero recomputation;
+* assembles the Library in deterministic sweep order, so parallel
+  libraries are bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -122,6 +133,214 @@ def describe_point(cfg: AdaPExConfig, point) -> str:
     tag = f" [{', '.join(tags)}]" if tags else ""
     return (f"[{cfg.dataset}] {accel_label(*key)}: pruning "
             f"rate {rate:.0%}{tag}")
+
+
+class _PointRunner:
+    """The checkpointed, supervised design-point loop of one sweep.
+
+    :meth:`LibraryGenerator.generate` and both phases of
+    :meth:`~repro.core.halving.HalvingSearch.run` drive their points
+    through :meth:`run`. The per-call state (variant contexts, manifest,
+    failures) lives here, never in module globals, so one generator can
+    run sweeps from several threads.
+    """
+
+    def __init__(self, gen: "LibraryGenerator", point_cache, progress,
+                 timer: PhaseTimer | None,
+                 supervise: SuperviseConfig | None):
+        cfg = gen.config
+        self.gen = gen
+        self.cfg = cfg
+        self.log = progress or (lambda msg: None)
+        self.timer = timer or PhaseTimer()
+        self.supervise = supervise or SuperviseConfig()
+        if isinstance(point_cache, (str, os.PathLike)):
+            point_cache = PointCache(point_cache)
+        self.cache = point_cache
+        self.variants = {(variant, pruned_exits): exits_cfg
+                         for variant, exits_cfg, pruned_exits
+                         in gen._variants()}
+        self.points = sweep_points(cfg, self.variants)
+        self.config_key = cfg.point_cache_key()
+        # The manifest lives next to the point cache: no cache, no
+        # checkpoints, and every point is pending.
+        self.manifest = None if point_cache is None else \
+            SweepManifest.open(point_cache.root / "manifest.json",
+                               self.config_key)
+        self.contexts: dict[tuple, _VariantContext] = {}
+        self.failures: dict = {}  # point -> FailedPoint, every phase
+
+    def key(self, point, fidelity: str = "full") -> str:
+        (variant, pruned_exits), rate, prec, crit, sched = point
+        return PointCache.point_key(self.config_key, variant, pruned_exits,
+                                    rate, prec, crit, sched,
+                                    fidelity=fidelity)
+
+    def run(self, points, body, into: dict,
+            spec=lambda point, lead: point, *, fidelity: str = "full",
+            label: str = "", load=None, store=None, group=None) -> list:
+        """Compute every point not already cached or quarantined.
+
+        ``body(gen, contexts, spec(point, lead))`` returns ``(result,
+        timing)``; results land in ``into`` (cache hits included) and
+        ``fidelity``-salted keys in the manifest. ``load(point, key)``
+        and ``store(key, result)`` default to the cache's entry files.
+        Points sharing a ``group(point)`` run lead first: the first
+        pending member of each group in one batch (``lead=True``), the
+        rest in a second. Returns the points computed by this call.
+        """
+        pending = self._partition(points, into, fidelity, label, load)
+        batches = [(pending, True)]
+        if group is not None:
+            leads, followers, seen = [], [], set()
+            for point in pending:
+                (followers if group(point) in seen else leads).append(point)
+                seen.add(group(point))
+            batches = [(leads, True), (followers, False)]
+        self._ensure_contexts(pending)
+        fresh = []
+        for batch, lead in batches:
+            if batch:
+                self._execute(body, [(point, spec(point, lead))
+                                     for point in batch],
+                              into, fresh, fidelity, label, store)
+        return fresh
+
+    def library(self, results: dict, **extra) -> Library:
+        """``results`` as a Library in sweep order; every failed point
+        is listed in ``metadata["quarantined"]``."""
+        cfg = self.cfg
+        library = Library(metadata={
+            "dataset": cfg.dataset,
+            "num_classes": self.gen.num_classes,
+            "width_scale": cfg.width_scale,
+            "resource_width_scale": cfg.resource_width_scale,
+            "quant": cfg.quant.name,
+            "cache_key": cfg.cache_key(),
+            # Conditional so pre-precision-axis metadata (pinned by the
+            # golden trace) is unchanged at the defaults.
+            **({"precisions": list(cfg.precisions)}
+               if list(cfg.precisions) != ["base"] else {}),
+            **({"criteria": list(cfg.criteria)}
+               if list(cfg.criteria) != ["l1"] else {}),
+            **({"schedules": list(cfg.schedules)}
+               if list(cfg.schedules) != ["hard"] else {}),
+            **({"zero_skip": True} if cfg.zero_skip else {}),
+            **extra,
+        })
+        for point in self.points:
+            for entry in results.get(point, ()):
+                library.add(entry)
+        if self.failures:
+            library.metadata["quarantined"] = [
+                {"variant": point[0][0], "pruned_exits": point[0][1],
+                 "rate": point[1],
+                 **({"precision": point[2]} if point[2] != "base" else {}),
+                 **({"criterion": point[3]} if point[3] != "l1" else {}),
+                 **({"schedule": point[4]} if point[4] != "hard" else {}),
+                 **self.failures[point].to_dict()}
+                for point in self.points if point in self.failures]
+        return library
+
+    def _partition(self, points, into, fidelity, label, load) -> list:
+        """Cache hits go to ``into``, quarantined points to
+        :attr:`failures`; returns the rest. Without a point cache
+        everything is pending."""
+        manifest = self.manifest
+        if manifest is None:
+            return list(points)
+        load = load or (lambda point, key: self.cache.get(key))
+        pending = []
+        for point in points:
+            key = self.key(point, fidelity)
+            (variant, pruned_exits), rate, prec, crit, sched = point
+            manifest.ensure(key, variant, pruned_exits, rate, prec, crit,
+                            sched, fidelity=fidelity)
+            cached = load(point, key)
+            if cached is not None:
+                into[point] = cached
+                if manifest.status(key) != "done":
+                    manifest.mark(key, "done")
+                self.log(f"{describe_point(self.cfg, point)}{label} "
+                         f"(cached)")
+            elif manifest.status(key) == "quarantined":
+                failed = self.failures[point] = manifest.failure(key)
+                self.log(f"{describe_point(self.cfg, point)}{label} "
+                         f"skipped (quarantined: {failed.reason()})")
+            else:
+                # "failed" (an exhausted transient budget) reruns too.
+                pending.append(point)
+        manifest.save()
+        return pending
+
+    def _ensure_contexts(self, points) -> None:
+        """Train the base models (once per generator) and prepare the
+        variant contexts ``points`` need. A fully warm rerun trains
+        nothing at all."""
+        needed = {point[0] for point in points}
+        for key, exits_cfg in self.variants.items():
+            if key in needed and key not in self.contexts:
+                self.log(f"[{self.cfg.dataset}] training base model "
+                         f"({accel_label(*key)})")
+                with self.timer.phase("train"):
+                    scaled_base = self.gen.train_base_model(exits_cfg)
+                self.contexts[key] = self.gen._variant_context(
+                    key[0], exits_cfg, key[1], scaled_base)
+
+    def _execute(self, body, specs, into, fresh, fidelity, label,
+                 store) -> None:
+        """Run one batch of ``(point, spec)`` on the supervised pool,
+        checkpointing every completion immediately: a sweep killed at
+        any instant loses at most the points that were in flight."""
+        gen, cfg, manifest = self.gen, self.cfg, self.manifest
+
+        def on_result(index, job, out):
+            point = job[1]
+            into[point], timing = out
+            self.timer.merge(timing)
+            fresh.append(point)
+            if manifest is not None:
+                key = self.key(point, fidelity)
+                (store or self.cache.put)(key, into[point])
+                manifest.mark(key, "done")
+                manifest.save()
+
+        def on_failure(index, job, failed):
+            point = job[1]
+            self.failures[point] = failed
+            if manifest is not None:
+                # Permanent failures stay quarantined across resumes;
+                # exhausted transient/timeout/crash budgets are retried
+                # by the next resume.
+                manifest.mark(self.key(point, fidelity),
+                              "quarantined" if failed.kind == "permanent"
+                              else "failed", failed)
+                manifest.save()
+
+        jobs = [(body, point, spec) for point, spec in specs]
+        options = dict(config=self.supervise, progress=self.log,
+                       label=lambda job: describe_point(cfg, job[1]) + label)
+        workers = min(cfg.parallel_workers, len(jobs))
+        if workers > 1 and fork_available():
+            # Weights travel through one shared-memory block instead of
+            # being pickled once per worker; the shipment must outlive
+            # the whole run because the supervisor may recreate pools
+            # (and re-run the initializer) after worker crashes.
+            shipment = publish_state_arrays(
+                {topo: state_arrays(model)
+                 for topo, model in gen._base_cache.items()})
+            try:
+                SupervisedPool(workers=workers,
+                               initializer=_parallel_worker_init,
+                               initargs=(cfg, shipment.payload),
+                               **options).run(_point_task, jobs,
+                                              on_result, on_failure)
+            finally:
+                shipment.close()
+        else:
+            SupervisedPool(workers=1, **options).run(
+                lambda job: body(gen, self.contexts, job[2]), jobs,
+                on_result, on_failure)
 
 
 class LibraryGenerator:
@@ -232,6 +451,33 @@ class LibraryGenerator:
     # ------------------------------------------------------------------
     # characterization of one design point
     # ------------------------------------------------------------------
+    def _hardware_twin(self, ctx: _VariantContext, rate: float,
+                       precision: str, crit,
+                       timer: PhaseTimer | None = None):
+        """Prune (no training needed), quantize, compile and device-check
+        the point's hardware twin; returns ``(accel, resources,
+        prune_report)``. Infeasible points raise the usual permanent
+        errors (folding, compile, device utilization)."""
+        cfg = self.config
+        timer = timer or PhaseTimer()
+        with timer.phase("prune"):
+            hw, report = prune_model(ctx.hw_base, rate,
+                                     constraints=ctx.hw_constraints,
+                                     prune_exits=ctx.pruned_exits,
+                                     criterion=crit)
+        spec = cfg.precision_spec(precision)
+        if spec is not None:
+            hw = post_training_quantize(hw, spec.weight_bits, spec.act_bits)
+        with timer.phase("compile"):
+            graph = export_model(hw)
+            streamline(graph)
+            accel = compile_accelerator(graph, ctx.folding,
+                                        clock_mhz=cfg.clock_mhz,
+                                        zero_skip=cfg.zero_skip)
+            resources = accel.resources()
+            cfg.device.check(resources)
+        return accel, resources, report
+
     def _characterize(self, ctx: _VariantContext, rate: float,
                       precision: str = "base",
                       timer: PhaseTimer | None = None,
@@ -276,25 +522,8 @@ class LibraryGenerator:
                                             spec.act_bits)
         scaled.eval()
 
-        # Hardware twin: prune (no training needed) + compile.
-        with timer.phase("prune"):
-            hw, hw_report = prune_model(ctx.hw_base, rate,
-                                        constraints=ctx.hw_constraints,
-                                        prune_exits=ctx.pruned_exits,
-                                        criterion=crit)
-        if spec is not None:
-            hw = post_training_quantize(hw, spec.weight_bits, spec.act_bits)
-        with timer.phase("compile"):
-            graph = export_model(hw)
-            streamline(graph)
-            accel = compile_accelerator(graph, ctx.folding,
-                                        clock_mhz=cfg.clock_mhz,
-                                        zero_skip=cfg.zero_skip)
-            resources = accel.resources()
-            cfg.device.check(resources)
-            perf = PerformanceModel(accel)
-            latencies = perf.latencies_s()
-
+        accel, resources, hw_report = self._hardware_twin(
+            ctx, rate, precision, crit, timer)
         accel_id = AcceleratorId(pruning_rate=rate,
                                  pruned_exits=ctx.pruned_exits,
                                  variant=ctx.variant,
@@ -307,6 +536,8 @@ class LibraryGenerator:
             # the accuracy twin, streamline, and execute the fused plan
             # (function-preserving, so the measured accuracies match the
             # nn-layer forward; ir.executors stays the semantics oracle).
+            perf = PerformanceModel(accel)
+            latencies = perf.latencies_s()
             scaled_graph = export_model(scaled)
             streamline(scaled_graph)
             plan = scaled_graph.compile(dtype=cfg.np_dtype, timer=timer)
@@ -399,168 +630,17 @@ class LibraryGenerator:
             library's ``metadata["quarantined"]``) instead of aborting
             the sweep.
         """
-        cfg = self.config
-        log = progress or (lambda msg: None)
-        timer = timer or PhaseTimer()
-        supervise = supervise or SuperviseConfig()
-        if isinstance(point_cache, (str, os.PathLike)):
-            point_cache = PointCache(point_cache)
-        library = Library(metadata={
-            "dataset": cfg.dataset,
-            "num_classes": self.num_classes,
-            "width_scale": cfg.width_scale,
-            "resource_width_scale": cfg.resource_width_scale,
-            "quant": cfg.quant.name,
-            "cache_key": cfg.cache_key(),
-            # Conditional so pre-precision-axis metadata (pinned by the
-            # golden trace) is unchanged at the defaults.
-            **({"precisions": list(cfg.precisions)}
-               if list(cfg.precisions) != ["base"] else {}),
-            **({"criteria": list(cfg.criteria)}
-               if list(cfg.criteria) != ["l1"] else {}),
-            **({"schedules": list(cfg.schedules)}
-               if list(cfg.schedules) != ["hard"] else {}),
-            **({"zero_skip": True} if cfg.zero_skip else {}),
-        })
-
-        variants = {(variant, pruned_exits): exits_cfg
-                    for variant, exits_cfg, pruned_exits in self._variants()}
-
-        # The sweep as a flat, deterministically ordered point list:
-        # (variant key, pruning rate, precision, criterion, schedule).
-        points = sweep_points(cfg, variants)
-
-        def _describe(point):
-            return describe_point(cfg, point)
-
-        manifest = None
-        point_keys: dict = {}
-        if point_cache is not None:
-            config_key = cfg.point_cache_key()
-            point_keys = {
-                point: PointCache.point_key(config_key, point[0][0],
-                                            point[0][1], point[1],
-                                            point[2], point[3], point[4])
-                for point in points}
-            manifest = SweepManifest.open(
-                point_cache.root / "manifest.json", config_key)
-
+        runner = _PointRunner(self, point_cache, progress, timer, supervise)
         results: dict = {}
-        failures: dict = {}  # point -> FailedPoint (this run or resumed)
-        pending = []
-        for point in points:
-            key, rate, prec, crit, sched = point
-            pkey = point_keys.get(point)
-            if manifest is not None:
-                manifest.ensure(pkey, key[0], key[1], rate, prec,
-                                crit, sched)
-            cached = point_cache.get(pkey) if point_cache is not None \
-                else None
-            if cached is not None:
-                results[point] = cached
-                if manifest.status(pkey) != "done":
-                    manifest.mark(pkey, "done")
-                log(f"{_describe(point)} (cached)")
-            elif manifest is not None \
-                    and manifest.status(pkey) == "quarantined":
-                failed = manifest.failure(pkey)
-                failures[point] = failed
-                log(f"{_describe(point)} skipped "
-                    f"(quarantined: {failed.reason()})")
-            else:
-                pending.append(point)
-        if manifest is not None:
-            manifest.save()
-
-        # Base models (the expensive training) are only needed for
-        # variants that still have uncached points — a fully warm cache
-        # rerun trains nothing at all.
-        contexts: dict[tuple, _VariantContext] = {}
-        for key in variants:
-            if any(p[0] == key for p in pending):
-                log(f"[{cfg.dataset}] training base model "
-                    f"({accel_label(*key)})")
-                with timer.phase("train"):
-                    scaled_base = self.train_base_model(variants[key])
-                contexts[key] = self._variant_context(
-                    key[0], variants[key], key[1], scaled_base)
-
-        def point_label(point):
-            return _describe(point)
-
-        # Checkpoint every completion immediately: a sweep killed at any
-        # instant loses at most the points that were in flight.
-        def on_point_done(index, point, entries):
-            results[point] = entries
-            if point_cache is not None:
-                point_cache.put(point_keys[point], entries)
-                manifest.mark(point_keys[point], "done")
-                manifest.save()
-
-        def on_point_failed(index, point, failed):
-            failures[point] = failed
-            if manifest is not None:
-                # Permanent failures stay quarantined across resumes;
-                # exhausted transient/timeout/crash budgets are retried
-                # by the next resume.
-                status = "quarantined" if failed.kind == "permanent" \
-                    else "failed"
-                manifest.mark(point_keys[point], status, failed)
-                manifest.save()
-
-        workers = min(cfg.parallel_workers, len(pending))
-        if workers > 1 and fork_available():
-            base_states = {topo: state_arrays(model)
-                           for topo, model in self._base_cache.items()}
-            # Weights travel through one shared-memory block instead of
-            # being pickled once per worker; the shipment must outlive
-            # the whole run because the supervisor may recreate pools
-            # (and re-run the initializer) after worker crashes.
-            shipment = publish_state_arrays(base_states)
-            try:
-                pool = SupervisedPool(
-                    workers=workers, config=supervise, progress=log,
-                    label=point_label, initializer=_parallel_worker_init,
-                    initargs=(cfg, shipment.payload))
-                pool.run(
-                    _characterize_task, pending,
-                    on_result=lambda i, point, out: (
-                        timer.merge(out[1]),
-                        on_point_done(i, point, out[0])),
-                    on_failure=on_point_failed)
-            finally:
-                shipment.close()
+        runner.run(runner.points, _characterize_point, results)
+        library = runner.library(results)
+        if runner.failures:
+            runner.log(f"[{self.config.dataset}] library partial: "
+                       f"{len(library)} entries, {len(runner.failures)} "
+                       f"design point(s) quarantined")
         else:
-            pool = SupervisedPool(workers=1, config=supervise,
-                                  progress=log, label=point_label)
-
-            def characterize_point(point):
-                key, rate, prec, crit, sched = point
-                return self._characterize(contexts[key], rate,
-                                          precision=prec, timer=timer,
-                                          criterion=crit, schedule=sched)
-
-            pool.run(characterize_point, pending,
-                     on_result=on_point_done,
-                     on_failure=on_point_failed)
-
-        for point in points:
-            for entry in results.get(point, ()):
-                library.add(entry)
-        if failures:
-            library.metadata["quarantined"] = [
-                {"variant": point[0][0], "pruned_exits": point[0][1],
-                 "rate": point[1],
-                 **({"precision": point[2]} if point[2] != "base" else {}),
-                 **({"criterion": point[3]} if point[3] != "l1" else {}),
-                 **({"schedule": point[4]} if point[4] != "hard" else {}),
-                 **failures[point].to_dict()}
-                for point in points if point in failures]
-            log(f"[{cfg.dataset}] library partial: {len(library)} entries,"
-                f" {len(failures)} design point(s) quarantined")
-        else:
-            log(f"[{cfg.dataset}] library complete: {len(library)} "
-                f"entries")
+            runner.log(f"[{self.config.dataset}] library complete: "
+                       f"{len(library)} entries")
         return library
 
 
@@ -615,11 +695,18 @@ def _parallel_worker_init(config: AdaPExConfig, base_states: dict) -> None:
     _WORKER_STATE = (gen, contexts)
 
 
-def _characterize_task(point):
-    """Characterize one ``((variant, pruned_exits), rate, precision,
-    criterion, schedule)`` work unit."""
-    variant_key, rate, precision, criterion, schedule = point
+def _point_task(job):
+    """Pool-worker side of :meth:`_PointRunner.run`: apply the phase's
+    body to one spec against this worker's generator and contexts."""
+    body, _point, spec = job
     gen, contexts = _WORKER_STATE
+    return body(gen, contexts, spec)
+
+
+def _characterize_point(gen, contexts, point):
+    """Exhaustive-sweep body: characterize one ``((variant,
+    pruned_exits), rate, precision, criterion, schedule)`` point."""
+    variant_key, rate, precision, criterion, schedule = point
     timer = PhaseTimer()
     entries = gen._characterize(contexts[variant_key], rate,
                                 precision=precision, timer=timer,

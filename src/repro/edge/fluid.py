@@ -41,7 +41,6 @@ class FluidSimulator:
 
         current: LibraryEntry | None = self.policy.select(spec.nominal_ips)
         processed = 0.0
-        lost = 0.0
         total = 0.0
         latency_sum = 0.0
         accuracy_sum = 0.0
@@ -69,19 +68,20 @@ class FluidSimulator:
             served = min(served, offered)
             total += offered
             processed += served
-            lost += offered - served
             latency_sum += served * selected.latency_s
             accuracy_sum += served * selected.accuracy
             energy += selected.power_at(min(lam, selected.serving_ips)) \
                 * duration
 
         processed_i = int(round(processed))
+        total_i = int(round(total))
         return RunMetrics(
             policy=getattr(self.policy, "name", type(self.policy).__name__),
             duration_s=spec.duration_s,
-            total_requests=int(round(total)),
+            total_requests=total_i,
             processed=processed_i,
-            lost=int(round(lost)),
+            # Rounded as the remainder so the ledger stays exact.
+            lost=total_i - processed_i,
             accuracy=accuracy_sum / processed if processed else 0.0,
             avg_latency_s=latency_sum / processed if processed else 0.0,
             energy_j=energy,

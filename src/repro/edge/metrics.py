@@ -86,10 +86,10 @@ class RunMetrics:
                self.in_flight) < 0:
             raise ValueError("request counters must be >= 0")
         if self.processed + self.lost + self.dropped + self.failed \
-                + self.shed + self.in_flight > self.total_requests:
+                + self.shed + self.in_flight != self.total_requests:
             raise ValueError(
                 "processed + lost + dropped + failed + shed + in_flight "
-                "cannot exceed total requests")
+                "must equal total requests")
 
     @property
     def unserved(self) -> int:

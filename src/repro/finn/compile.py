@@ -142,10 +142,6 @@ def compile_accelerator(
     # alias: tensor equivalences for zero-hardware nodes (Flatten)
     alias: dict[str, str] = {}
 
-    def producer_of(tensor: str):
-        t = alias.get(tensor, tensor)
-        return accel._tensor_producer.get(t)
-
     def register(tensors, module_index):
         for t in tensors:
             accel._tensor_producer[t] = module_index

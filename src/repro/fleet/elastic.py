@@ -319,8 +319,12 @@ def plan_elastic(cfg, ecfg: ElasticConfig, tenants, arrivals, assignment,
             return True
         if rejoin >= duration:
             return False
+        # A source that died before this tick (not yet detected) served
+        # nothing since its death: those frames travel with the tenant
+        # and replay at the rejoin instant like the hand-off window.
+        cut = min(at, kills.get(src, at))
         head, moved, delayed, dropped = transfer_stream(
-            pending[tid], at, rejoin, duration, replay=True)
+            pending[tid], cut, rejoin, duration, replay=True)
         assert dropped == 0  # planned rejoin is always inside the run
         if len(head):
             chunks[src].append(head)

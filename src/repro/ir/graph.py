@@ -43,11 +43,6 @@ class TensorInfo:
     def elements(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
-    def stream_bits(self) -> int:
-        """Bits needed to stream one element set of this tensor."""
-        return self.elements * self.bits
-
 
 @dataclass
 class IRNode:

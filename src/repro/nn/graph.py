@@ -135,7 +135,6 @@ class BranchedModel:
         self.exits = dict(sorted(exits.items()))
         self.input_shape = tuple(input_shape)
         self.name = name
-        self._cache_branch_inputs: list | None = None
 
     # ------------------------------------------------------------------
     # structure
@@ -160,10 +159,6 @@ class BranchedModel:
         for seg in self.segments:
             yield from seg.layers
 
-    def exit_layers(self):
-        for idx in self.exits:
-            yield from self.exits[idx].layers
-
     def param_count(self) -> int:
         return sum(layer.param_count() for layer in self.all_layers())
 
@@ -180,7 +175,10 @@ class BranchedModel:
             layer.zero_grad()
 
     def clone(self) -> "BranchedModel":
-        """Deep copy (weights included) — used by the pruning sweep."""
+        """Deep copy (weights included) — used by the pruning sweep.
+
+        Layer forward caches are not copied (see ``Layer.__getstate__``).
+        """
         return copy.deepcopy(self)
 
     def astype(self, dtype) -> "BranchedModel":

@@ -43,6 +43,8 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.training = True
+        # What forward keeps for backward; backward releases it.
+        self._cache = None
 
     # -- interface -------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -56,6 +58,18 @@ class Layer:
         raise NotImplementedError
 
     # -- helpers ---------------------------------------------------------
+    def _release(self):
+        """Hand backward the forward cache and drop it from the layer, so
+        a trained model holds no stale activations."""
+        cache, self._cache = self._cache, None
+        return cache
+
+    def __getstate__(self):
+        # Copies and pickles never carry a forward cache; the source
+        # layer keeps its own, so a clone taken between a forward and
+        # its backward leaves that backward intact.
+        return dict(self.__dict__, _cache=None)
+
     def zero_grad(self) -> None:
         for k in self.params:
             self.grads[k] = np.zeros_like(self.params[k])
@@ -123,7 +137,6 @@ class Conv2D(Layer):
         if bias:
             self.params["bias"] = np.zeros(out_channels)
         self.zero_grad()
-        self._cache = None
 
     # weight actually used in the forward pass (quantized in subclasses)
     def effective_weight(self) -> np.ndarray:
@@ -137,7 +150,7 @@ class Conv2D(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, cols, w = self._cache
+        x_shape, cols, w = self._release()
         grad_x, grad_w, grad_b = F.conv2d_backward(
             grad_out, x_shape, w, cols, self.stride, self.padding
         )
@@ -202,7 +215,6 @@ class Linear(Layer):
         if bias:
             self.params["bias"] = np.zeros(out_features)
         self.zero_grad()
-        self._cache = None
 
     def effective_weight(self) -> np.ndarray:
         return self.params["weight"]
@@ -216,7 +228,7 @@ class Linear(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, w = self._cache
+        x, w = self._release()
         self.grads["weight"] += self._weight_grad(grad_out.T @ x)
         if self.has_bias:
             self.grads["bias"] += grad_out.sum(axis=0)
@@ -264,7 +276,6 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
         self.zero_grad()
-        self._cache = None
 
     def _axes(self, x):
         if x.ndim == 4:
@@ -300,7 +311,7 @@ class BatchNorm(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_hat, std, axes, ndim = self._cache
+        x_hat, std, axes, ndim = self._release()
         m = grad_out.size / self.num_features
         self.grads["gamma"] += (grad_out * x_hat).sum(axis=axes)
         self.grads["beta"] += grad_out.sum(axis=axes)
@@ -351,7 +362,6 @@ class MaxPool2d(Layer):
             raise ValueError("kernel_size must be >= 1")
         self.kernel_size = kernel_size
         self.stride = stride or kernel_size
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, argmax = F.maxpool2d_forward(x, self.kernel_size, self.stride)
@@ -359,7 +369,7 @@ class MaxPool2d(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, argmax = self._cache
+        x_shape, argmax = self._release()
         return F.maxpool2d_backward(
             grad_out, argmax, x_shape, self.kernel_size, self.stride
         )
@@ -375,16 +385,12 @@ class MaxPool2d(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self, name: str = ""):
-        super().__init__(name)
-        self._cache = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
         return F.relu(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return F.relu_grad(self._cache, grad_out)
+        return F.relu_grad(self._release(), grad_out)
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return input_shape
@@ -399,14 +405,13 @@ class QuantReLU(Layer):
     def __init__(self, quant: QuantSpec | None = None, name: str = ""):
         super().__init__(name)
         self.quant = quant or QuantSpec()
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
         return quantize_activations(x, self.quant.act_bits, self.quant.act_range)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._cache
+        x = self._release()
         inside = (x > 0) & (x < self.quant.act_range)
         return grad_out * inside
 
@@ -418,16 +423,12 @@ class QuantReLU(Layer):
 
 
 class Flatten(Layer):
-    def __init__(self, name: str = ""):
-        super().__init__(name)
-        self._cache = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._cache)
+        return grad_out.reshape(self._release())
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return (int(np.prod(input_shape)),)

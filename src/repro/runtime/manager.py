@@ -429,6 +429,3 @@ class RuntimeManager:
         if current is None:
             return True
         return current.accelerator != selected.accelerator
-
-    def operating_points(self) -> list[AcceleratorId]:
-        return self.library.accelerators()

@@ -21,6 +21,7 @@ from repro.core.config import AdaPExConfig
 from repro.core.design_time import LibraryGenerator
 from repro.core.halving import (HalvingConfig, HalvingReport,
                                 HalvingSearch, pareto_front, pareto_ranks)
+from repro.core.parallel import fork_available
 from repro.core.pointcache import PointCache
 from repro.core.supervise import SuperviseConfig
 from repro.nn.trainer import TrainConfig
@@ -297,6 +298,32 @@ class TestHalvingEndToEnd:
         assert report.epochs_total == 0
         assert report.exhaustive_epochs == 0
         assert len(library) > 0
+
+
+class TestParallelHalving:
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_two_workers_match_serial_byte_for_byte(self, tmp_path):
+        """Forked rung and final phases (leads, then followers reusing
+        the leads' shared checkpoints) write the same library and the
+        same manifest as an in-process run."""
+        def run(workers, cache):
+            cfg = tiny_config(rates=(0.0, 0.6), workers=workers)
+            # Precision twins put a follower batch behind every lead.
+            cfg.precisions = ["base", "int8"]
+            cfg.resource_width_scale = 0.25
+            cfg.__post_init__()
+            search = HalvingSearch(cfg,
+                                   halving=HalvingConfig(extra_keep=0))
+            library = search.run(cache, supervise=FAST)
+            return library, search.last_report
+
+        serial, serial_report = run(1, tmp_path / "serial")
+        forked, forked_report = run(2, tmp_path / "forked")
+        assert serial_report.rungs[0]["cohort"] == 4
+        assert forked.to_json() == serial.to_json()
+        assert (tmp_path / "forked" / "manifest.json").read_bytes() \
+            == (tmp_path / "serial" / "manifest.json").read_bytes()
+        assert forked_report.to_dict() == serial_report.to_dict()
 
 
 class TestHalvingQuarantine:

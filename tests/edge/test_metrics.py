@@ -92,6 +92,16 @@ class TestDroppedVsCompletedSemantics:
                        reconfigurations=0, reconfig_dead_time_s=0.0,
                        dropped=2, failed=1)
 
+    def test_counts_short_of_total_rejected(self):
+        # The ledger is exact: a request that reaches no terminal state
+        # and is not in flight at the horizon is an accounting bug.
+        with pytest.raises(ValueError, match="must equal"):
+            RunMetrics(policy="x", duration_s=1.0, total_requests=10,
+                       processed=5, lost=2, accuracy=0.5,
+                       avg_latency_s=0.001, energy_j=1.0,
+                       reconfigurations=0, reconfig_dead_time_s=0.0,
+                       dropped=1, failed=0, in_flight=1)
+
     def test_negative_counters_rejected(self):
         with pytest.raises(ValueError):
             RunMetrics(policy="x", duration_s=1.0, total_requests=10,

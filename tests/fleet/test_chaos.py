@@ -196,6 +196,28 @@ class TestConservationProperty:
             assert all(m.dropped == 0 for m in result.migrations
                        if m.reason != "failover")
 
+    def test_migration_off_an_undetected_dead_server(self):
+        """A planned migration can leave a server that died but is not
+        detected yet. The dead server keeps only the frames it got
+        before its death; the rest move with the tenant, so every
+        server's own ledger balances."""
+        cfg = chaos_config(duration_s=4.0)
+        result = simulate_fleet(
+            _chaos_library(), chaos_tenants(8), cfg, seed=0,
+            faults=FleetFaultSpec(racks_lost=1, kill_time_s=1.0,
+                                  herd=False),
+            fault_seed=1,
+            elastic=ElasticConfig(min_servers=1, max_servers=6,
+                                  cooldown_s=2.0))
+        killed = {run.server_id: run.killed_at_s for run in result.servers
+                  if run.killed_at_s is not None}
+        assert any(m.reason != "failover" and m.src in killed
+                   and m.at_s > killed[m.src] for m in result.migrations)
+        for run in result.servers:
+            m = run.metrics
+            assert m.processed + m.lost + m.dropped + m.failed + m.shed \
+                + m.in_flight == m.total_requests
+
     def test_conservation_holds_under_the_spike_overlay(self,
                                                         fleet_library):
         """``fleet-chaos`` adds per-server arrival spikes on top of the

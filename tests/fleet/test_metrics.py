@@ -15,7 +15,8 @@ def run_metrics(processed, lost, dropped, failed, extra, accuracy,
         policy="AdaPEx", duration_s=10.0, total_requests=total,
         processed=processed, lost=lost, accuracy=accuracy,
         avg_latency_s=latency, energy_j=energy, reconfigurations=1,
-        reconfig_dead_time_s=0.145, dropped=dropped, failed=failed)
+        reconfig_dead_time_s=0.145, dropped=dropped, failed=failed,
+        in_flight=extra)
 
 
 server_runs = st.lists(

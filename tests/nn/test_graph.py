@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.models.cnv import CNVConfig, build_cnv
+from repro.models.exits import ExitsConfiguration
 from repro.nn import BranchedModel, Linear, ReLU, Sequential
 from repro.nn.layers import Flatten
+from repro.nn.trainer import TrainConfig, Trainer
 
 
 def tiny_branched(num_classes=4, seed=0):
@@ -143,6 +146,44 @@ class TestSerialization:
         clone = model.clone()
         clone.segments[0].layers[0].params["weight"][:] = 0.0
         assert np.abs(model.segments[0].layers[0].params["weight"]).sum() > 0
+
+
+class TestForwardCaches:
+    """Forward caches (im2col matrices, activations) live only from a
+    forward pass to its backward pass."""
+
+    @staticmethod
+    def _cnv():
+        return build_cnv(CNVConfig(width_scale=0.125, seed=3),
+                         ExitsConfiguration.paper_default())
+
+    def test_fit_leaves_no_forward_cache(self):
+        rng = np.random.default_rng(0)
+        model = self._cnv()
+        Trainer(model, TrainConfig(epochs=1, batch_size=8)).fit(
+            rng.normal(size=(16, 3, 32, 32)), rng.integers(0, 10, 16))
+        assert all(layer._cache is None for layer in model.all_layers())
+
+    def test_clone_carries_no_cache_and_keeps_the_source_backward(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(4, 3, 32, 32))
+        model, reference = self._cnv(), self._cnv()
+        outs = model.forward(x)
+        reference.forward(x)
+        assert any(layer._cache is not None
+                   for layer in model.all_layers())
+
+        clone = model.clone()
+        assert all(layer._cache is None for layer in clone.all_layers())
+
+        grads = [rng.normal(size=o.shape) for o in outs]
+        for m in (model, reference):
+            m.zero_grad()
+        np.testing.assert_array_equal(model.backward(grads),
+                                      reference.backward(grads))
+        for a, b in zip(model.all_layers(), reference.all_layers()):
+            for name in a.grads:
+                np.testing.assert_array_equal(a.grads[name], b.grads[name])
 
 
 class TestCostModel:
